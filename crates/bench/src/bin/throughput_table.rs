@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use bq_bench::facade::{blocking_pairs_throughput, blocking_timed_pairs_throughput, ALL_FACADES};
+use bq_bench::facade::{blocking_pairs_throughput, timed_pairs, ALL_FACADES, PATIENCE};
 use bq_bench::meta::{append_trajectory, run_meta, smoke_mode, write_bench_json};
 use bq_bench::payload::{
     payload_pairs_bytering, payload_pairs_grant, payload_pairs_move, PAYLOAD_BYTES,
@@ -23,7 +23,7 @@ use bq_bench::payload::{
 use bq_bench::registry::{QueueKind, ALL_KINDS};
 use bq_bench::shm_procs::shm_fork_pairs_throughput;
 use bq_bench::workload::{pairs_throughput, print_batch_win_table};
-use bq_core::{ConcurrentQueue, OptimalQueue};
+use bq_core::{ConcurrentQueue, OptimalQueue, TimeLimit};
 use serde::Serialize;
 
 /// One machine-readable measurement for `BENCH_throughput_table.json`.
@@ -156,12 +156,15 @@ fn main() {
          thread; neither path contains timed polling."
     );
 
-    println!("\n=== E16: timed waits — deadline-carrying pairs vs untimed (DESIGN.md §13) ===");
     println!(
-        "same blocking façade and data path; every op now carries a deadline\n\
-         that never fires. the deadline resolves lazily at the FIRST PARK,\n\
-         so the uncontended row must show ~zero overhead (claim: <= 5%);\n\
-         contended rows add one clock read per park. best of 3 runs\n"
+        "\n=== E16: timed waits — send_within/recv_within, Timeout vs Never (DESIGN.md §13) ==="
+    );
+    println!(
+        "same entry points, façade and data path on both sides; only the\n\
+         TimeLimit differs: Never vs a Timeout that never fires. the timeout\n\
+         resolves lazily at the FIRST PARK, so the uncontended row must show\n\
+         ~zero overhead (claim: <= 5%); contended rows add one clock read\n\
+         per park. best of 3 runs\n"
     );
     // Larger than the other sections even in smoke: the headline is a
     // percent-level *difference*, which tiny runs drown in noise.
@@ -186,8 +189,8 @@ fn main() {
         ("contended (C=4)", 4, 2),
         ("contended (C=4)", 4, 4),
     ] {
-        let untimed = best(&|| blocking_pairs_throughput(cap, threads, timed_ops));
-        let timed = best(&|| blocking_timed_pairs_throughput(cap, threads, timed_ops));
+        let untimed = best(&|| timed_pairs(cap, threads, timed_ops, TimeLimit::Never));
+        let timed = best(&|| timed_pairs(cap, threads, timed_ops, TimeLimit::Timeout(PATIENCE)));
         let overhead_pct = (untimed.mops() / timed.mops() - 1.0) * 100.0;
         println!(
             "{:<22} {:>9} {:>12.3} {:>12.3} {:>9.1}%",

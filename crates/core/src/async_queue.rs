@@ -5,18 +5,25 @@
 //! [`AsyncQueue`] is the third client layer of the waiter subsystem
 //! (DESIGN.md §9): it wraps the *same* [`BlockingQueue`] state — the
 //! lock-free data path plus one [`EventCount`] per direction — and adds
-//! hand-rolled futures whose wakers register against the eventcount's
-//! wake generations. Because both façades share the two eventcount
-//! instances, blocking threads and async tasks can wait on **one queue
-//! at the same time**: a thread's `send` wakes a task's pending `recv`
-//! and vice versa ([`blocking`](AsyncQueue::blocking) exposes the sync
-//! view). No executor dependency exists; any executor works, and the
+//! two hand-rolled futures, [`SendFuture`] and [`RecvFuture`], whose
+//! wakers register against the eventcount's wake generations. Because
+//! both façades share the two eventcount instances, blocking threads and
+//! async tasks can wait on **one queue at the same time**: a thread's
+//! `send` wakes a task's pending `recv` and vice versa
+//! ([`blocking`](AsyncQueue::blocking) exposes the sync view). No
+//! executor dependency exists; any executor works, and the
 //! dependency-free `pollster` shim's `block_on` is enough to drive it.
+//!
+//! Each future is generic over the [`Shape`] (single value or batch) and
+//! carries a [`TimeLimit`]; every poll runs the same private attempt
+//! step per direction as the blocking façade. Its output type is the
+//! caller's: `send` resolves to `Result<(), SendError<T>>`,
+//! `send_within` to `Result<(), SendTimeoutError<T>>`, and so on.
 //!
 //! ## Poll protocol
 //!
-//! Every future polls the same way (the async mirror of the eventcount's
-//! thread protocol):
+//! Every poll runs the same loop, `WaitState::poll_with` (the async
+//! mirror of [`EventCount::wait`]):
 //!
 //! 1. **try** the non-blocking operation — if it completes, done;
 //! 2. snapshot the wake **generation** and **register** the task's waker
@@ -24,7 +31,8 @@
 //!    stale snapshot means a wake was just published, so re-try from 1);
 //! 3. **re-try** the operation — this closes the race with a notifier
 //!    that read `waiters == 0` before the registration;
-//! 4. return `Pending`.
+//! 4. return `Pending` — or, for a limited future whose deadline has
+//!    passed, settle it (close still beats timeout).
 //!
 //! Linearization of the wake hand-off: the registration takes effect
 //! under the eventcount's gate lock, and every notifier bumps the
@@ -34,27 +42,34 @@
 //! under the lock) and wakes the task. There is no window in between —
 //! hence no lost wakeup and **no timed polling anywhere**.
 //!
+//! Under [`TimeLimit::Never`] a future reads no clock and arms no timer.
+//! A limited future resolves its deadline at the first `Pending` and arms
+//! one `timerwheel` entry with the current waker, disarming it when it
+//! resolves or is dropped.
+//!
 //! ## Cancellation safety
 //!
 //! Dropping a pending future deregisters its waker (removing it from
-//! the waiter list and the waiter count) and returns any not-yet-sent
-//! value to the caller's ownership (it is dropped with the future). A
-//! `recv` future takes an element only at the moment it resolves
-//! `Ready`, so a dropped pending `recv` can never lose one. And because
-//! eventcount wakes are broadcast, a cancelled waiter can never have
-//! swallowed a wake another waiter needed. `tests/async_cancel.rs`
-//! asserts all three properties under stress.
+//! the waiter list and the waiter count), disarms its timer, and drops
+//! any not-yet-sent values as plain values (a send boxes its items once;
+//! the unsent token suffix is unboxed on drop). A `recv` future takes
+//! elements only at the moment it resolves `Ready`, so a dropped pending
+//! `recv` can never lose one. And because eventcount wakes are
+//! broadcast, a cancelled waiter can never have swallowed a wake another
+//! waiter needed. `tests/async_cancel.rs` asserts all three properties
+//! under stress.
 
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::blocking::{
-    BlockingQueue, RecvTimeoutError, SendError, SendTimeoutError, TryRecvError, TrySendError,
+    BlockingQueue, Many, One, RecvTimeoutError, SendError, SendTimeoutError, Shape, TryRecvError,
+    TrySendError, Unsent,
 };
 use crate::boxed::{BoxedHandle, PointerCapable};
-use crate::event::{EventCount, WaiterId};
+use crate::event::{EventCount, TimeLimit, WaiterId};
 
 /// Async bounded queue over any pointer-capable token queue.
 ///
@@ -131,111 +146,32 @@ impl<T: Send, Q: PointerCapable> AsyncQueue<T, Q> {
 
     /// Enqueue, resolving when the value is accepted; `Err(SendError)`
     /// returns the value if the queue closes first.
-    pub fn send<'a>(&'a self, h: &'a mut BoxedHandle<Q>, value: T) -> SendFuture<'a, T, Q> {
-        SendFuture {
-            queue: self,
-            handle: h,
-            item: Some(value),
-            wait: WaitState::new(),
-        }
+    pub fn send<'a>(
+        &'a self,
+        h: &'a mut BoxedHandle<Q>,
+        value: T,
+    ) -> SendFuture<'a, T, Q, One, Result<(), SendError<T>>> {
+        SendFuture::new(self, h, value, TimeLimit::Never, |r| {
+            r.map_err(|e| SendError(e.into_inner()))
+        })
     }
 
     /// Dequeue, resolving to `Some(v)` when an element arrives, or
     /// `None` once the queue is closed and drained.
-    pub fn recv<'a>(&'a self, h: &'a mut BoxedHandle<Q>) -> RecvFuture<'a, T, Q> {
-        RecvFuture {
-            queue: self,
-            handle: h,
-            wait: WaitState::new(),
-        }
-    }
-
-    /// [`send`](Self::send) with an absolute deadline: resolves to
-    /// [`SendTimeoutError::Timeout`] (value handed back) if the queue is
-    /// still full at `deadline`. The timer seam (`timerwheel`) only arms
-    /// when the future actually goes pending, so a send that completes
-    /// on its first poll never reads the clock; a `close()` racing the
-    /// deadline is pinned to `Closed`, as in the blocking façade.
-    pub fn send_deadline<'a>(
-        &'a self,
-        h: &'a mut BoxedHandle<Q>,
-        value: T,
-        deadline: Instant,
-    ) -> SendDeadlineFuture<'a, T, Q> {
-        SendDeadlineFuture {
-            queue: self,
-            handle: h,
-            item: Some(value),
-            wait: WaitState::new(),
-            timed: TimedState::new(TimeLimit::Deadline(deadline)),
-        }
-    }
-
-    /// [`send_deadline`](Self::send_deadline) with a relative timeout,
-    /// resolved to a deadline lazily at the first pending poll.
-    pub fn send_timeout<'a>(
-        &'a self,
-        h: &'a mut BoxedHandle<Q>,
-        value: T,
-        timeout: Duration,
-    ) -> SendDeadlineFuture<'a, T, Q> {
-        SendDeadlineFuture {
-            queue: self,
-            handle: h,
-            item: Some(value),
-            wait: WaitState::new(),
-            timed: TimedState::new(TimeLimit::Timeout(timeout)),
-        }
-    }
-
-    /// [`recv`](Self::recv) with an absolute deadline: resolves to
-    /// [`RecvTimeoutError::Timeout`] if the queue is still empty at
-    /// `deadline`; `Closed` keeps drain semantics and wins the
-    /// close-vs-timeout race (see [`send_deadline`](Self::send_deadline)).
-    pub fn recv_deadline<'a>(
-        &'a self,
-        h: &'a mut BoxedHandle<Q>,
-        deadline: Instant,
-    ) -> RecvDeadlineFuture<'a, T, Q> {
-        RecvDeadlineFuture {
-            queue: self,
-            handle: h,
-            wait: WaitState::new(),
-            timed: TimedState::new(TimeLimit::Deadline(deadline)),
-        }
-    }
-
-    /// [`recv_deadline`](Self::recv_deadline) with a relative timeout
-    /// (lazy deadline resolution).
-    pub fn recv_timeout<'a>(
-        &'a self,
-        h: &'a mut BoxedHandle<Q>,
-        timeout: Duration,
-    ) -> RecvDeadlineFuture<'a, T, Q> {
-        RecvDeadlineFuture {
-            queue: self,
-            handle: h,
-            wait: WaitState::new(),
-            timed: TimedState::new(TimeLimit::Timeout(timeout)),
-        }
+    pub fn recv<'a>(&'a self, h: &'a mut BoxedHandle<Q>) -> RecvFuture<'a, T, Q, One, Option<T>> {
+        RecvFuture::new(self, h, One, TimeLimit::Never, Result::ok)
     }
 
     /// Batch enqueue, resolving once **every** item is accepted; on
-    /// close, resolves to the unsent suffix. Unlike the blocking
-    /// `send_all`, retries move rejected items in and out of their boxes
-    /// (simple ownership beats the re-box amortization here: a cancelled
-    /// future must be able to drop the suffix as plain values).
+    /// close, resolves to the unsent suffix.
     pub fn send_all<'a>(
         &'a self,
         h: &'a mut BoxedHandle<Q>,
         items: Vec<T>,
-    ) -> SendAllFuture<'a, T, Q> {
-        SendAllFuture {
-            queue: self,
-            handle: h,
-            items: Some(items),
-            wait: WaitState::new(),
-        }
+    ) -> SendFuture<'a, T, Q, Many, Result<(), SendError<Vec<T>>>> {
+        SendFuture::new(self, h, items, TimeLimit::Never, |r| {
+            r.map_err(|e| SendError(e.into_inner()))
+        })
     }
 
     /// Batch dequeue, resolving to 1..=`max` values — or an empty vector
@@ -244,15 +180,40 @@ impl<T: Send, Q: PointerCapable> AsyncQueue<T, Q> {
         &'a self,
         h: &'a mut BoxedHandle<Q>,
         max: usize,
-    ) -> RecvManyFuture<'a, T, Q> {
+    ) -> RecvFuture<'a, T, Q, Many, Vec<T>> {
         assert!(max > 0, "recv_many needs a positive batch bound");
-        RecvManyFuture {
-            queue: self,
-            handle: h,
-            max,
-            out: Vec::new(),
-            wait: WaitState::new(),
-        }
+        RecvFuture::new(
+            self,
+            h,
+            Many(max),
+            TimeLimit::Never,
+            Result::unwrap_or_default,
+        )
+    }
+
+    /// [`send`](Self::send) under a time limit: resolves to
+    /// [`SendTimeoutError::Timeout`] (value handed back) if the queue is
+    /// still full when `limit` passes; a `close()` racing the deadline
+    /// is pinned to `Closed`, as in the blocking façade.
+    pub fn send_within<'a>(
+        &'a self,
+        h: &'a mut BoxedHandle<Q>,
+        value: T,
+        limit: TimeLimit,
+    ) -> SendFuture<'a, T, Q, One, Result<(), SendTimeoutError<T>>> {
+        SendFuture::new(self, h, value, limit, |r| r)
+    }
+
+    /// [`recv`](Self::recv) under a time limit: resolves to
+    /// [`RecvTimeoutError::Timeout`] if the queue is still empty when
+    /// `limit` passes; `Closed` keeps drain semantics and wins the
+    /// close-vs-timeout race.
+    pub fn recv_within<'a>(
+        &'a self,
+        h: &'a mut BoxedHandle<Q>,
+        limit: TimeLimit,
+    ) -> RecvFuture<'a, T, Q, One, Result<T, RecvTimeoutError>> {
+        RecvFuture::new(self, h, One, limit, |r| r)
     }
 
     /// Capacity of the underlying queue.
@@ -280,33 +241,40 @@ impl<T: Send, Q: PointerCapable> AsyncQueue<T, Q> {
     }
 }
 
-/// Per-future wait state: at most one live waker registration.
+/// Per-future wait state: the time limit, at most one live waker
+/// registration, and at most one armed timer.
 struct WaitState {
+    limit: TimeLimit,
     reg: Option<WaiterId>,
+    timer: Option<timerwheel::TimerKey>,
 }
 
 impl WaitState {
-    fn new() -> Self {
-        WaitState { reg: None }
+    fn new(limit: TimeLimit) -> Self {
+        WaitState {
+            limit,
+            reg: None,
+            timer: None,
+        }
     }
 
     /// One poll of the eventcount protocol described in the module docs.
-    /// `attempt` returns `Some(r)` when the operation completed (with
-    /// success *or* a terminal closed result).
+    /// `step(false)` is one attempt, returning `Some(r)` when the
+    /// operation completed (with success *or* a terminal closed result);
+    /// `step(true)` settles a future whose deadline passed.
     fn poll_with<R>(
         &mut self,
         ec: &EventCount,
         waker: &Waker,
-        mut attempt: impl FnMut() -> Option<R>,
+        mut step: impl FnMut(bool) -> Option<R>,
     ) -> Poll<R> {
-        // A registration surviving from the previous poll is stale: it
-        // may hold an outdated waker (the task can migrate between
-        // polls), or it was already drained by the wake that caused this
-        // poll. Drop it and go through the full announce cycle again.
-        if let Some(id) = self.reg.take() {
-            ec.deregister(id);
-        }
-        if let Some(r) = attempt() {
+        // A registration or timer surviving from the previous poll is
+        // stale: it may hold an outdated waker (the task can migrate
+        // between polls), or the registration was already drained by the
+        // wake that caused this poll. Drop both and go through the full
+        // announce cycle again.
+        self.cancel(ec);
+        if let Some(r) = step(false) {
             return Poll::Ready(r);
         }
         loop {
@@ -316,397 +284,157 @@ impl WaitState {
                     // Announced. Re-attempt to close the race with a
                     // notifier that read `waiters == 0` before our
                     // registration landed.
-                    if let Some(r) = attempt() {
+                    if let Some(r) = step(false) {
                         ec.deregister(id);
                         return Poll::Ready(r);
                     }
                     self.reg = Some(id);
-                    return Poll::Pending;
+                    break;
                 }
                 // A wake was published between the snapshot and the gate
                 // lock: whatever it announced may satisfy us — re-try
                 // instead of sleeping through it.
                 None => {
-                    if let Some(r) = attempt() {
+                    if let Some(r) = step(false) {
                         return Poll::Ready(r);
                     }
                 }
             }
         }
+        // Untimed futures stop here: no clock read, no timer.
+        self.limit = self.limit.resolve();
+        if let TimeLimit::Deadline(deadline) = self.limit {
+            if Instant::now() >= deadline {
+                self.cancel(ec);
+                return Poll::Ready(step(true).expect("an expired step settles the wait"));
+            }
+            self.timer = Some(timerwheel::schedule_at(deadline, waker.clone()));
+        }
+        Poll::Pending
     }
 
-    /// Cancellation half: drop any live registration.
+    /// Cancellation half: drop any live registration and armed timer.
     fn cancel(&mut self, ec: &EventCount) {
         if let Some(id) = self.reg.take() {
             ec.deregister(id);
         }
-    }
-}
-
-/// How long a timed future may stay pending. `Timeout` resolves to a
-/// deadline lazily at the first pending poll, so a future that resolves
-/// on its first poll never reads the clock.
-#[derive(Debug, Clone, Copy)]
-enum TimeLimit {
-    Deadline(Instant),
-    Timeout(Duration),
-}
-
-/// Timer half of a deadline future: the resolved deadline plus the armed
-/// `timerwheel` entry (if any). The timer is (re)armed with the current
-/// poll's waker each time the future goes pending — tasks can migrate
-/// between polls — and disarmed on completion and on drop.
-struct TimedState {
-    limit: TimeLimit,
-    deadline: Option<Instant>,
-    timer: Option<timerwheel::TimerKey>,
-}
-
-impl TimedState {
-    fn new(limit: TimeLimit) -> Self {
-        TimedState {
-            limit,
-            deadline: None,
-            timer: None,
-        }
-    }
-
-    /// Resolve (lazily) and return the deadline. First call reads the
-    /// clock for a relative limit; later calls are a field read.
-    fn deadline(&mut self) -> Instant {
-        *self.deadline.get_or_insert_with(|| match self.limit {
-            TimeLimit::Deadline(d) => d,
-            TimeLimit::Timeout(t) => Instant::now() + t,
-        })
-    }
-
-    /// Did the deadline pass? Only meaningful after a pending poll
-    /// resolved it via [`deadline`](Self::deadline).
-    fn expired(&mut self) -> bool {
-        Instant::now() >= self.deadline()
-    }
-
-    /// (Re)arm the timer to fire `waker` at the deadline.
-    fn arm(&mut self, waker: &Waker) {
-        if let Some(k) = self.timer.take() {
-            timerwheel::cancel(k);
-        }
-        let deadline = self.deadline();
-        self.timer = Some(timerwheel::schedule_at(deadline, waker.clone()));
-    }
-
-    /// Disarm the timer (completion or cancellation).
-    fn disarm(&mut self) {
         if let Some(k) = self.timer.take() {
             timerwheel::cancel(k);
         }
     }
 }
 
-/// Future returned by [`AsyncQueue::send_deadline`] /
-/// [`AsyncQueue::send_timeout`].
-pub struct SendDeadlineFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
+/// Future returned by [`AsyncQueue::send`], [`AsyncQueue::send_all`] and
+/// [`AsyncQueue::send_within`]: `S` is the shape, `O` the output.
+pub struct SendFuture<'a, T: Send, Q: PointerCapable, S: Shape<T>, O> {
+    queue: &'a BlockingQueue<T, Q>,
     handle: &'a mut BoxedHandle<Q>,
-    item: Option<T>,
+    unsent: Unsent<T, S>,
     wait: WaitState,
-    timed: TimedState,
+    output: fn(Result<(), SendTimeoutError<S::Items>>) -> O,
 }
 
-impl<T: Send, Q: PointerCapable> Unpin for SendDeadlineFuture<'_, T, Q> {}
-
-impl<T: Send, Q: PointerCapable> Future for SendDeadlineFuture<'_, T, Q> {
-    type Output = Result<(), SendTimeoutError<T>>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let SendDeadlineFuture {
-            queue,
+impl<'a, T: Send, Q: PointerCapable, S: Shape<T>, O> SendFuture<'a, T, Q, S, O> {
+    fn new(
+        queue: &'a AsyncQueue<T, Q>,
+        handle: &'a mut BoxedHandle<Q>,
+        items: S::Items,
+        limit: TimeLimit,
+        output: fn(Result<(), SendTimeoutError<S::Items>>) -> O,
+    ) -> Self {
+        SendFuture {
+            queue: &queue.sync,
             handle,
-            item,
-            wait,
-            timed,
-        } = self.get_mut();
-        let ec = queue.sync.not_full_event();
-        let polled = wait.poll_with(ec, cx.waker(), || {
-            let v = item
-                .take()
-                .expect("timed send future polled after completion");
-            match queue.sync.try_send(handle, v) {
-                Ok(()) => Some(Ok(())),
-                Err(TrySendError::Closed(v)) => Some(Err(SendTimeoutError::Closed(v))),
-                Err(TrySendError::Full(v)) => {
-                    *item = Some(v);
-                    None
-                }
-            }
-        });
-        match polled {
-            Poll::Ready(r) => {
-                timed.disarm();
-                Poll::Ready(r)
-            }
-            Poll::Pending if timed.expired() => {
-                // The attempt inside poll_with just ran and failed, so
-                // the value is ours to hand back. Pin close-vs-timeout
-                // by re-reading the flag.
-                wait.cancel(ec);
-                timed.disarm();
-                let v = item.take().expect("item present on timeout");
-                Poll::Ready(Err(if queue.sync.is_closed() {
-                    SendTimeoutError::Closed(v)
-                } else {
-                    SendTimeoutError::Timeout(v)
-                }))
-            }
-            Poll::Pending => {
-                timed.arm(cx.waker());
-                Poll::Pending
-            }
+            unsent: Unsent::new(items),
+            wait: WaitState::new(limit),
+            output,
         }
     }
-}
-
-impl<T: Send, Q: PointerCapable> Drop for SendDeadlineFuture<'_, T, Q> {
-    fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_full_event());
-        self.timed.disarm();
-        // `self.item` (if the send never completed) drops with the future.
-    }
-}
-
-/// Future returned by [`AsyncQueue::recv_deadline`] /
-/// [`AsyncQueue::recv_timeout`].
-pub struct RecvDeadlineFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
-    handle: &'a mut BoxedHandle<Q>,
-    wait: WaitState,
-    timed: TimedState,
-}
-
-impl<T: Send, Q: PointerCapable> Unpin for RecvDeadlineFuture<'_, T, Q> {}
-
-impl<T: Send, Q: PointerCapable> Future for RecvDeadlineFuture<'_, T, Q> {
-    type Output = Result<T, RecvTimeoutError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let RecvDeadlineFuture {
-            queue,
-            handle,
-            wait,
-            timed,
-        } = self.get_mut();
-        let ec = queue.sync.not_empty_event();
-        let polled = wait.poll_with(ec, cx.waker(), || match queue.sync.try_recv(handle) {
-            Ok(v) => Some(Ok(v)),
-            // Closed: final drain check after observing the flag.
-            Err(TryRecvError::Closed) => Some(
-                queue
-                    .sync
-                    .try_recv(handle)
-                    .map_err(|_| RecvTimeoutError::Closed),
-            ),
-            Err(TryRecvError::Empty) => None,
-        });
-        match polled {
-            Poll::Ready(r) => {
-                timed.disarm();
-                Poll::Ready(r)
-            }
-            Poll::Pending if timed.expired() => {
-                wait.cancel(ec);
-                timed.disarm();
-                // Close-vs-timeout pin: one more flag check (with drain)
-                // before blaming the clock.
-                Poll::Ready(if queue.sync.is_closed() {
-                    queue
-                        .sync
-                        .try_recv(handle)
-                        .map_err(|_| RecvTimeoutError::Closed)
-                } else {
-                    Err(RecvTimeoutError::Timeout)
-                })
-            }
-            Poll::Pending => {
-                timed.arm(cx.waker());
-                Poll::Pending
-            }
-        }
-    }
-}
-
-impl<T: Send, Q: PointerCapable> Drop for RecvDeadlineFuture<'_, T, Q> {
-    fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_empty_event());
-        self.timed.disarm();
-    }
-}
-
-/// Future returned by [`AsyncQueue::send`].
-pub struct SendFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
-    handle: &'a mut BoxedHandle<Q>,
-    item: Option<T>,
-    wait: WaitState,
 }
 
 // The futures never hand out pins into their own storage, so they are
 // plain state machines — safe to consider Unpin regardless of `T`.
-impl<T: Send, Q: PointerCapable> Unpin for SendFuture<'_, T, Q> {}
+impl<T: Send, Q: PointerCapable, S: Shape<T>, O> Unpin for SendFuture<'_, T, Q, S, O> {}
 
-impl<T: Send, Q: PointerCapable> Future for SendFuture<'_, T, Q> {
-    type Output = Result<(), SendError<T>>;
+impl<T: Send, Q: PointerCapable, S: Shape<T>, O> Future for SendFuture<'_, T, Q, S, O> {
+    type Output = O;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<O> {
         let SendFuture {
             queue,
             handle,
-            item,
+            unsent,
             wait,
+            output,
         } = self.get_mut();
-        wait.poll_with(queue.sync.not_full_event(), cx.waker(), || {
-            let v = item.take().expect("send future polled after completion");
-            match queue.sync.try_send(handle, v) {
-                Ok(()) => Some(Ok(())),
-                Err(TrySendError::Closed(v)) => Some(Err(SendError(v))),
-                Err(TrySendError::Full(v)) => {
-                    *item = Some(v);
-                    None
-                }
-            }
+        wait.poll_with(queue.not_full_event(), cx.waker(), |expired| {
+            queue.send_step(handle, unsent, expired)
         })
+        .map(*output)
     }
 }
 
-impl<T: Send, Q: PointerCapable> Drop for SendFuture<'_, T, Q> {
+impl<T: Send, Q: PointerCapable, S: Shape<T>, O> Drop for SendFuture<'_, T, Q, S, O> {
     fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_full_event());
-        // `self.item` (if the send never completed) drops with the future.
+        self.wait.cancel(self.queue.not_full_event());
+        // The unsent suffix drops (unboxed) with `self.unsent`; accepted
+        // items stay queued.
     }
 }
 
-/// Future returned by [`AsyncQueue::recv`].
-pub struct RecvFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
+/// Future returned by [`AsyncQueue::recv`], [`AsyncQueue::recv_many`] and
+/// [`AsyncQueue::recv_within`]: `S` is the shape, `O` the output.
+pub struct RecvFuture<'a, T: Send, Q: PointerCapable, S: Shape<T>, O> {
+    queue: &'a BlockingQueue<T, Q>,
     handle: &'a mut BoxedHandle<Q>,
+    shape: S,
     wait: WaitState,
+    output: fn(Result<S::Items, RecvTimeoutError>) -> O,
 }
 
-impl<T: Send, Q: PointerCapable> Unpin for RecvFuture<'_, T, Q> {}
+impl<'a, T: Send, Q: PointerCapable, S: Shape<T>, O> RecvFuture<'a, T, Q, S, O> {
+    fn new(
+        queue: &'a AsyncQueue<T, Q>,
+        handle: &'a mut BoxedHandle<Q>,
+        shape: S,
+        limit: TimeLimit,
+        output: fn(Result<S::Items, RecvTimeoutError>) -> O,
+    ) -> Self {
+        RecvFuture {
+            queue: &queue.sync,
+            handle,
+            shape,
+            wait: WaitState::new(limit),
+            output,
+        }
+    }
+}
 
-impl<T: Send, Q: PointerCapable> Future for RecvFuture<'_, T, Q> {
-    type Output = Option<T>;
+impl<T: Send, Q: PointerCapable, S: Shape<T>, O> Unpin for RecvFuture<'_, T, Q, S, O> {}
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+impl<T: Send, Q: PointerCapable, S: Shape<T>, O> Future for RecvFuture<'_, T, Q, S, O> {
+    type Output = O;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<O> {
         let RecvFuture {
             queue,
             handle,
+            shape,
             wait,
+            output,
         } = self.get_mut();
-        wait.poll_with(queue.sync.not_empty_event(), cx.waker(), || {
-            match queue.sync.try_recv(handle) {
-                Ok(v) => Some(Some(v)),
-                // Closed: final drain check after observing the flag
-                // (same reasoning as the blocking recv).
-                Err(TryRecvError::Closed) => Some(queue.sync.try_recv(handle).ok()),
-                Err(TryRecvError::Empty) => None,
-            }
+        wait.poll_with(queue.not_empty_event(), cx.waker(), |expired| {
+            queue.recv_step(handle, shape, expired)
         })
+        .map(*output)
     }
 }
 
-impl<T: Send, Q: PointerCapable> Drop for RecvFuture<'_, T, Q> {
+impl<T: Send, Q: PointerCapable, S: Shape<T>, O> Drop for RecvFuture<'_, T, Q, S, O> {
     fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_empty_event());
-    }
-}
-
-/// Future returned by [`AsyncQueue::send_all`].
-pub struct SendAllFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
-    handle: &'a mut BoxedHandle<Q>,
-    /// Remaining (not yet accepted) items; `None` after completion.
-    items: Option<Vec<T>>,
-    wait: WaitState,
-}
-
-impl<T: Send, Q: PointerCapable> Unpin for SendAllFuture<'_, T, Q> {}
-
-impl<T: Send, Q: PointerCapable> Future for SendAllFuture<'_, T, Q> {
-    type Output = Result<(), SendError<Vec<T>>>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let SendAllFuture {
-            queue,
-            handle,
-            items,
-            wait,
-        } = self.get_mut();
-        wait.poll_with(queue.sync.not_full_event(), cx.waker(), || {
-            let batch = items
-                .take()
-                .expect("send_all future polled after completion");
-            if queue.sync.is_closed() {
-                return Some(Err(SendError(batch)));
-            }
-            let rejected = queue.sync.try_send_many(handle, batch);
-            if rejected.is_empty() {
-                Some(Ok(()))
-            } else {
-                *items = Some(rejected);
-                None
-            }
-        })
-    }
-}
-
-impl<T: Send, Q: PointerCapable> Drop for SendAllFuture<'_, T, Q> {
-    fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_full_event());
-        // Unsent items drop with the future; accepted ones stay queued.
-    }
-}
-
-/// Future returned by [`AsyncQueue::recv_many`].
-pub struct RecvManyFuture<'a, T: Send, Q: PointerCapable> {
-    queue: &'a AsyncQueue<T, Q>,
-    handle: &'a mut BoxedHandle<Q>,
-    max: usize,
-    out: Vec<T>,
-    wait: WaitState,
-}
-
-impl<T: Send, Q: PointerCapable> Unpin for RecvManyFuture<'_, T, Q> {}
-
-impl<T: Send, Q: PointerCapable> Future for RecvManyFuture<'_, T, Q> {
-    type Output = Vec<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let RecvManyFuture {
-            queue,
-            handle,
-            max,
-            out,
-            wait,
-        } = self.get_mut();
-        wait.poll_with(queue.sync.not_empty_event(), cx.waker(), || {
-            if queue.sync.try_recv_many(handle, *max, out) > 0 {
-                return Some(std::mem::take(out));
-            }
-            if queue.sync.is_closed() {
-                // Final drain check; an empty result means closed+drained.
-                queue.sync.try_recv_many(handle, *max, out);
-                return Some(std::mem::take(out));
-            }
-            None
-        })
-    }
-}
-
-impl<T: Send, Q: PointerCapable> Drop for RecvManyFuture<'_, T, Q> {
-    fn drop(&mut self) {
-        self.wait.cancel(self.queue.sync.not_empty_event());
-        // NB: a cancelled recv_many that already buffered a partial batch
-        // cannot happen — elements are only taken in the resolving poll.
+        // Elements are taken only in the resolving poll, so a cancelled
+        // receive holds none.
+        self.wait.cancel(self.queue.not_empty_event());
     }
 }
 
@@ -851,12 +579,19 @@ mod tests {
         let q = make(4, 1);
         let mut h = q.register();
         block_on(async {
-            q.send_timeout(&mut h, 7, std::time::Duration::from_secs(30))
-                .await
-                .unwrap();
+            q.send_within(
+                &mut h,
+                7,
+                TimeLimit::Timeout(std::time::Duration::from_secs(30)),
+            )
+            .await
+            .unwrap();
             assert_eq!(
-                q.recv_deadline(&mut h, Instant::now() + std::time::Duration::from_secs(30))
-                    .await,
+                q.recv_within(
+                    &mut h,
+                    TimeLimit::Deadline(Instant::now() + std::time::Duration::from_secs(30))
+                )
+                .await,
                 Ok(7)
             );
         });
@@ -869,8 +604,12 @@ mod tests {
         let mut h = q.register();
         q.try_send(&mut h, 1).unwrap();
         let start = Instant::now();
-        let err =
-            block_on(q.send_timeout(&mut h, 2, std::time::Duration::from_millis(30))).unwrap_err();
+        let err = block_on(q.send_within(
+            &mut h,
+            2,
+            TimeLimit::Timeout(std::time::Duration::from_millis(30)),
+        ))
+        .unwrap_err();
         assert_eq!(err, SendTimeoutError::Timeout(2));
         assert!(start.elapsed() >= std::time::Duration::from_millis(30));
         assert_eq!(q.blocking().not_full_event().registered_wakers(), 0);
@@ -881,11 +620,14 @@ mod tests {
         let q = make(4, 1);
         let mut h = q.register();
         assert_eq!(
-            block_on(q.recv_timeout(&mut h, std::time::Duration::from_millis(30))),
+            block_on(q.recv_within(
+                &mut h,
+                TimeLimit::Timeout(std::time::Duration::from_millis(30))
+            )),
             Err(RecvTimeoutError::Timeout)
         );
         assert_eq!(
-            block_on(q.recv_deadline(&mut h, Instant::now())),
+            block_on(q.recv_within(&mut h, TimeLimit::Deadline(Instant::now()))),
             Err(RecvTimeoutError::Timeout),
             "already-expired deadline resolves on the first poll"
         );
@@ -903,7 +645,10 @@ mod tests {
         });
         let mut h = q.register();
         assert_eq!(
-            block_on(q.recv_deadline(&mut h, Instant::now() + std::time::Duration::from_secs(30))),
+            block_on(q.recv_within(
+                &mut h,
+                TimeLimit::Deadline(Instant::now() + std::time::Duration::from_secs(30))
+            )),
             Ok(42)
         );
         producer.join().unwrap();
@@ -911,22 +656,66 @@ mod tests {
 
     #[test]
     fn closed_queue_timed_futures_report_closed_not_timeout() {
-        let q = make(4, 1);
-        let mut h = q.register();
-        q.try_send(&mut h, 1).unwrap();
-        q.close();
+        // The blocking façade's close-beats-timeout pin, through the
+        // futures, for every (shape, limit) pair the async surface has:
+        // the batch futures are untimed, the single ones take any limit.
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        block_on(async {
-            assert_eq!(
-                q.send_deadline(&mut h, 9, past).await,
-                Err(SendTimeoutError::Closed(9))
-            );
-            assert_eq!(q.recv_deadline(&mut h, past).await, Ok(1), "drain first");
-            assert_eq!(
-                q.recv_deadline(&mut h, past).await,
-                Err(RecvTimeoutError::Closed)
-            );
-        });
+        for limit in [
+            TimeLimit::Never,
+            TimeLimit::Deadline(past),
+            TimeLimit::Timeout(std::time::Duration::ZERO),
+        ] {
+            let q = make(4, 1);
+            let mut h = q.register();
+            q.try_send(&mut h, 1).unwrap();
+            q.try_send(&mut h, 2).unwrap();
+            q.close();
+            block_on(async {
+                assert_eq!(
+                    q.send_within(&mut h, 9, limit).await,
+                    Err(SendTimeoutError::Closed(9)),
+                    "{limit:?}"
+                );
+                assert_eq!(
+                    q.recv_within(&mut h, limit).await,
+                    Ok(1),
+                    "{limit:?}: drain first"
+                );
+                assert_eq!(
+                    q.recv_within(&mut h, limit).await,
+                    Ok(2),
+                    "{limit:?}: drain first"
+                );
+                assert_eq!(
+                    q.recv_within(&mut h, limit).await,
+                    Err(RecvTimeoutError::Closed),
+                    "{limit:?}"
+                );
+            });
+        }
+    }
+
+    #[test]
+    fn cancelled_send_all_drops_the_unsent_suffix_as_values() {
+        // A send holds its unsent suffix as boxed tokens; dropping the
+        // pending future must unbox and drop each of them, while the
+        // accepted prefix stays queued.
+        struct Noop;
+        impl std::task::Wake for Noop {
+            fn wake(self: Arc<Self>) {}
+        }
+        let waker = Waker::from(Arc::new(Noop));
+        let mut cx = Context::from_waker(&waker);
+        let q: AsyncQueue<Arc<()>, OptimalQueue> =
+            AsyncQueue::new(OptimalQueue::with_capacity_and_threads(2, 1));
+        let mut h = q.register();
+        let item = Arc::new(());
+        let mut fut = q.send_all(&mut h, vec![Arc::clone(&item); 5]);
+        assert!(Pin::new(&mut fut).poll(&mut cx).is_pending(), "2 of 5 fit");
+        assert_eq!(Arc::strong_count(&item), 6);
+        drop(fut);
+        assert_eq!(Arc::strong_count(&item), 3, "the 3 unsent values dropped");
+        assert_eq!(q.len(), 2, "the accepted prefix stays queued");
     }
 
     #[test]

@@ -12,21 +12,26 @@
 //! so e.g. `BlockingQueue<T, OptimalQueue>` is a blocking-API queue with
 //! Θ(T) total overhead.
 //!
-//! ## Wake protocol: wake generations, no timed polling
+//! ## One wait per direction
 //!
-//! The classic lost-wake race — a counterpart transitions the queue
-//! between our failed attempt and our park — is closed by the
-//! eventcount's announce → snapshot → re-attempt → park-if-unchanged
-//! protocol; see the [`crate::event`] module docs for the full argument.
-//! This file contains **no parking machinery of its own**: every wait is
-//! an [`EventCount::wait_until`] call whose attempt closure is the
-//! non-blocking operation, and every successful transition publishes a
-//! wake to the opposite direction via [`EventCount::wake_all`]. The
-//! async façade ([`crate::AsyncQueue`]) drives futures off the *same two
-//! eventcount instances*, so blocking threads and async tasks can wait
-//! on one queue simultaneously. Waits are untimed, the uncontended wake
-//! fast path is one atomic load, and blocking throughput has no built-in
-//! millisecond floor.
+//! Each direction has one waiting entry point taking a [`TimeLimit`]
+//! ([`send_within`](BlockingQueue::send_within) and
+//! [`send_all_within`](BlockingQueue::send_all_within),
+//! [`recv_within`](BlockingQueue::recv_within) and
+//! [`recv_many_within`](BlockingQueue::recv_many_within)); `send`,
+//! `recv`, `send_all` and `recv_many` are the same calls under
+//! [`TimeLimit::Never`]. Each is one [`EventCount::wait`] over one
+//! private *attempt step* per direction, shared with the async façade
+//! ([`crate::AsyncQueue`]), which drives futures off the *same two
+//! eventcount instances* — blocking threads and async tasks can wait on
+//! one queue simultaneously. The lost-wake argument lives in the
+//! [`crate::event`] module docs; this file contains no parking machinery
+//! of its own. The [`Shape`] parameter ([`One`] or [`Many`]) picks the
+//! single or batch form of a step.
+//!
+//! A send boxes its items once and retries on the unaccepted token
+//! suffix, so a parked send never round-trips its values through `Box`
+//! on a wake.
 //!
 //! ## Shutdown: `close()` with drain semantics
 //!
@@ -37,15 +42,17 @@
 //! `recv_many` → empty vector). A send racing `close` may still deposit
 //! its element — it is never lost: it remains in the queue for later
 //! receivers (or the destructor's drain). Conservation is unaffected.
+//! When a timed wait expires, `close` beats the timeout: a queue closed
+//! first reports `Closed`, never `Timeout`.
 
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
 
 use crate::simx::SimAtomicBool;
 
-use crate::boxed::{BoxedHandle, BoxedQueue, PointerCapable};
-use crate::event::EventCount;
+use crate::boxed::{box_token, unbox_token, BoxedHandle, BoxedQueue, PointerCapable};
+use crate::event::{EventCount, TimeLimit};
 
 /// Error returned by a blocking/async `send` on a closed queue: carries
 /// the unsent value(s) back to the caller.
@@ -81,9 +88,9 @@ pub enum TryRecvError {
     Closed,
 }
 
-/// Error returned by a deadline/timeout `send`: the value comes back in
-/// both cases, and the two failure causes stay distinguishable — a
-/// `Timeout` may be retried, a `Closed` never succeeds again.
+/// Error returned by a time-limited send: the value comes back in both
+/// cases, and the two failure causes stay distinguishable — a `Timeout`
+/// may be retried, a `Closed` never succeeds again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendTimeoutError<T> {
     /// The deadline passed with the queue still full. A `close()` racing
@@ -119,7 +126,7 @@ impl<T> std::fmt::Display for SendTimeoutError<T> {
 
 impl<T: std::fmt::Debug> std::error::Error for SendTimeoutError<T> {}
 
-/// Error returned by a deadline/timeout `recv`.
+/// Error returned by a time-limited `recv`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvTimeoutError {
     /// The deadline passed with the queue still empty and open. As with
@@ -142,20 +149,121 @@ impl std::fmt::Display for RecvTimeoutError {
 
 impl std::error::Error for RecvTimeoutError {}
 
-/// How long a timed operation may wait. `Deadline` is absolute;
-/// `Timeout` resolves to a deadline lazily at the first park, so an
-/// operation that never waits never reads the clock.
+/// The single-value form of a waiting operation: moves one `T`.
 #[derive(Debug, Clone, Copy)]
-enum Wait {
-    Deadline(Instant),
-    Timeout(Duration),
+pub struct One;
+
+/// The batch form of a waiting operation: moves a `Vec<T>`. A receive
+/// takes at most the carried bound.
+#[derive(Debug, Clone, Copy)]
+pub struct Many(pub(crate) usize);
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::One {}
+    impl Sealed for super::Many {}
 }
 
-impl Wait {
-    fn until<R>(self, ec: &EventCount, attempt: impl FnMut() -> Option<R>) -> Option<R> {
-        match self {
-            Wait::Deadline(d) => ec.wait_until_deadline(d, attempt),
-            Wait::Timeout(t) => ec.wait_until_timeout(t, attempt),
+/// Single ([`One`]) or batch ([`Many`]) form of a waiting operation.
+/// Sealed: the façades' futures are generic over it, nothing else is.
+pub trait Shape<T: Send>: sealed::Sealed {
+    /// What one operation moves: `T` or `Vec<T>`.
+    type Items;
+    #[doc(hidden)]
+    type Tokens: AsRef<[u64]>;
+    #[doc(hidden)]
+    fn tokens(items: Self::Items, boxed: impl FnMut(T) -> u64) -> Self::Tokens;
+    #[doc(hidden)]
+    fn items(tokens: &[u64], unboxed: impl FnMut(u64) -> T) -> Self::Items;
+    #[doc(hidden)]
+    fn take<Q: PointerCapable>(
+        &self,
+        q: &BlockingQueue<T, Q>,
+        h: &mut BoxedHandle<Q>,
+    ) -> Option<Self::Items>;
+}
+
+impl<T: Send> Shape<T> for One {
+    type Items = T;
+    type Tokens = [u64; 1];
+    fn tokens(item: T, mut boxed: impl FnMut(T) -> u64) -> [u64; 1] {
+        [boxed(item)]
+    }
+    fn items(tokens: &[u64], mut unboxed: impl FnMut(u64) -> T) -> T {
+        unboxed(tokens[0])
+    }
+    fn take<Q: PointerCapable>(
+        &self,
+        q: &BlockingQueue<T, Q>,
+        h: &mut BoxedHandle<Q>,
+    ) -> Option<T> {
+        q.take_one(h)
+    }
+}
+
+impl<T: Send> Shape<T> for Many {
+    type Items = Vec<T>;
+    type Tokens = Vec<u64>;
+    fn tokens(items: Vec<T>, boxed: impl FnMut(T) -> u64) -> Vec<u64> {
+        items.into_iter().map(boxed).collect()
+    }
+    fn items(tokens: &[u64], mut unboxed: impl FnMut(u64) -> T) -> Vec<T> {
+        tokens.iter().map(|&t| unboxed(t)).collect()
+    }
+    fn take<Q: PointerCapable>(
+        &self,
+        q: &BlockingQueue<T, Q>,
+        h: &mut BoxedHandle<Q>,
+    ) -> Option<Vec<T>> {
+        // Failed attempts push nothing, so they allocate nothing.
+        let mut out = Vec::new();
+        (q.try_recv_many(h, self.0, &mut out) > 0).then_some(out)
+    }
+}
+
+/// The unaccepted part of a send: every item boxed once, retried as the
+/// token suffix `tokens[sent..]`. Dropping it drops the unsent values.
+pub(crate) struct Unsent<T: Send, S: Shape<T>> {
+    tokens: S::Tokens,
+    sent: usize,
+    _owns: PhantomData<T>,
+}
+
+impl<T: Send, S: Shape<T>> Unsent<T, S> {
+    pub(crate) fn new(items: S::Items) -> Self {
+        Unsent {
+            tokens: S::tokens(items, box_token),
+            sent: 0,
+            _owns: PhantomData,
+        }
+    }
+
+    /// Offer the suffix to `push`, which returns how many it accepted.
+    /// While the suffix is on offer this record owns none of it, so a
+    /// panic out of `push` leaks the suffix rather than freeing tokens
+    /// the queue may already hold.
+    fn offer(&mut self, push: impl FnOnce(&[u64]) -> usize) -> usize {
+        let from = std::mem::replace(&mut self.sent, self.tokens.as_ref().len());
+        let n = push(&self.tokens.as_ref()[from..]);
+        self.sent = from + n;
+        n
+    }
+
+    fn is_done(&self) -> bool {
+        self.sent == self.tokens.as_ref().len()
+    }
+
+    /// Hand the unsent suffix back as values.
+    fn take(&mut self) -> S::Items {
+        let from = std::mem::replace(&mut self.sent, self.tokens.as_ref().len());
+        S::items(&self.tokens.as_ref()[from..], unbox_token)
+    }
+}
+
+impl<T: Send, S: Shape<T>> Drop for Unsent<T, S> {
+    fn drop(&mut self) {
+        for &t in &self.tokens.as_ref()[self.sent..] {
+            drop(unbox_token::<T>(t));
         }
     }
 }
@@ -271,49 +379,23 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
         }
     }
 
-    /// Enqueue, waiting while the queue is full. Fails only when the
-    /// queue is (or becomes) closed, returning the value.
-    pub fn send(&self, h: &mut BoxedHandle<Q>, value: T) -> Result<(), SendError<T>> {
-        let mut item = Some(value);
-        self.not_full.wait_until(
-            || match self.try_send(h, item.take().expect("item present")) {
-                Ok(()) => Some(Ok(())),
-                Err(TrySendError::Closed(v)) => Some(Err(SendError(v))),
-                Err(TrySendError::Full(v)) => {
-                    item = Some(v);
-                    None
-                }
-            },
-        )
-    }
-
     /// Non-blocking dequeue.
     pub fn try_recv(&self, h: &mut BoxedHandle<Q>) -> Result<T, TryRecvError> {
-        match self.contain(|| self.inner.dequeue(h)) {
-            Some(v) => {
-                self.not_full.wake_all();
-                Ok(v)
-            }
-            None => Err(if self.is_closed() {
+        self.take_one(h).ok_or_else(|| {
+            if self.is_closed() {
                 TryRecvError::Closed
             } else {
                 TryRecvError::Empty
-            }),
-        }
+            }
+        })
     }
 
-    /// Dequeue, waiting while the queue is empty. Returns `None` only
-    /// once the queue is closed **and** observed empty after the closed
-    /// flag (drain semantics: every accepted element is delivered first).
-    pub fn recv(&self, h: &mut BoxedHandle<Q>) -> Option<T> {
-        self.not_empty.wait_until(|| match self.try_recv(h) {
-            Ok(v) => Some(Some(v)),
-            // Closed: one final drain check *after* observing the flag
-            // catches elements deposited between the failed dequeue and
-            // the flag read.
-            Err(TryRecvError::Closed) => Some(self.try_recv(h).ok()),
-            Err(TryRecvError::Empty) => None,
-        })
+    /// Dequeue one element and wake the senders, without reading the
+    /// closed flag.
+    fn take_one(&self, h: &mut BoxedHandle<Q>) -> Option<T> {
+        let v = self.contain(|| self.inner.dequeue(h))?;
+        self.not_full.wake_all();
+        Some(v)
     }
 
     /// Non-blocking batch enqueue: accepts a prefix (through the inner
@@ -332,38 +414,6 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
         rejected
     }
 
-    /// Batch enqueue, waiting until **every** item is accepted. On close,
-    /// returns the unsent suffix (already-accepted items stay in the
-    /// queue for receivers to drain).
-    pub fn send_all(&self, h: &mut BoxedHandle<Q>, items: Vec<T>) -> Result<(), SendError<Vec<T>>> {
-        // Box once and retry on the token run: a parked batch would
-        // otherwise round-trip every pending item through Box on each
-        // wake. (If a retry panics, the unsent suffix leaks its boxes —
-        // a memory leak only, and the inner enqueue does not panic on
-        // tokens produced by `box_token`.)
-        let tokens: Vec<u64> = items
-            .into_iter()
-            .map(BoxedQueue::<T, Q>::box_token)
-            .collect();
-        let mut sent = 0usize;
-        self.not_full.wait_until(|| {
-            if self.is_closed() {
-                let unsent = tokens[sent..]
-                    .iter()
-                    .map(|&t| BoxedQueue::<T, Q>::unbox_token(t))
-                    .collect();
-                sent = tokens.len(); // the suffix's ownership moved out
-                return Some(Err(SendError(unsent)));
-            }
-            let n = self.contain(|| self.inner.enqueue_tokens(h, &tokens[sent..]));
-            if n > 0 {
-                self.not_empty.wake_all();
-            }
-            sent += n;
-            (sent == tokens.len()).then_some(Ok(()))
-        })
-    }
-
     /// Non-blocking batch dequeue into `out`; returns the count taken.
     pub fn try_recv_many(&self, h: &mut BoxedHandle<Q>, max: usize, out: &mut Vec<T>) -> usize {
         let n = self.contain(|| self.inner.dequeue_many(h, max, out));
@@ -373,268 +423,150 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
         n
     }
 
+    /// Enqueue, waiting while the queue is full. Fails only when the
+    /// queue is (or becomes) closed, returning the value.
+    pub fn send(&self, h: &mut BoxedHandle<Q>, value: T) -> Result<(), SendError<T>> {
+        self.send_within(h, value, TimeLimit::Never)
+            .map_err(|e| SendError(e.into_inner()))
+    }
+
+    /// Dequeue, waiting while the queue is empty. Returns `None` only
+    /// once the queue is closed **and** observed empty after the closed
+    /// flag (drain semantics: every accepted element is delivered first).
+    pub fn recv(&self, h: &mut BoxedHandle<Q>) -> Option<T> {
+        self.recv_within(h, TimeLimit::Never).ok()
+    }
+
+    /// Batch enqueue, waiting until **every** item is accepted. On close,
+    /// returns the unsent suffix (already-accepted items stay in the
+    /// queue for receivers to drain).
+    pub fn send_all(&self, h: &mut BoxedHandle<Q>, items: Vec<T>) -> Result<(), SendError<Vec<T>>> {
+        self.send_all_within(h, items, TimeLimit::Never)
+            .map_err(|e| SendError(e.into_inner()))
+    }
+
     /// Batch dequeue, waiting until at least one element arrives; returns
     /// 1..=`max` values. An **empty vector** means the queue is closed
     /// and fully drained (for `max > 0` that is the only way it can be
     /// empty).
     pub fn recv_many(&self, h: &mut BoxedHandle<Q>, max: usize) -> Vec<T> {
-        assert!(max > 0, "recv_many needs a positive batch bound");
-        // One buffer across park/retry cycles; failed attempts push
-        // nothing into it and allocate nothing.
-        let mut out = Vec::new();
-        self.not_empty.wait_until(|| {
-            if self.try_recv_many(h, max, &mut out) > 0 {
-                return Some(());
-            }
-            if self.is_closed() {
-                // Final drain check after observing the flag, as in recv.
-                self.try_recv_many(h, max, &mut out);
-                return Some(());
-            }
-            None
-        });
-        out
+        self.recv_many_within(h, max, TimeLimit::Never)
+            .unwrap_or_default()
     }
 
-    /// [`send`](Self::send) with an absolute deadline: waits for space at
-    /// most until `deadline`, then hands the value back as
-    /// [`SendTimeoutError::Timeout`]. The fast path never reads the
-    /// clock — the deadline only matters once a park actually happens —
-    /// and a `close()` racing the deadline is pinned: if the queue was
-    /// closed first, the error is `Closed`, never `Timeout`.
-    pub fn send_deadline(
+    /// [`send`](Self::send) under a time limit: when `limit` passes with
+    /// the queue still full, the value comes back as
+    /// [`SendTimeoutError::Timeout`]. A send that never waits never
+    /// reads the clock.
+    pub fn send_within(
         &self,
         h: &mut BoxedHandle<Q>,
         value: T,
-        deadline: Instant,
+        limit: TimeLimit,
     ) -> Result<(), SendTimeoutError<T>> {
-        self.send_limited(h, value, Wait::Deadline(deadline))
+        self.send_shaped::<One>(h, value, limit)
     }
 
-    /// [`send_deadline`](Self::send_deadline) with a relative timeout.
-    /// The timeout resolves to a deadline lazily at the first park, so an
-    /// uncontended send never reads the clock (E16 measures this).
-    pub fn send_timeout(
+    /// [`recv`](Self::recv) under a time limit. `Closed` keeps drain
+    /// semantics: every accepted element is delivered before the closed
+    /// state is reported.
+    pub fn recv_within(
         &self,
         h: &mut BoxedHandle<Q>,
-        value: T,
-        timeout: Duration,
-    ) -> Result<(), SendTimeoutError<T>> {
-        self.send_limited(h, value, Wait::Timeout(timeout))
-    }
-
-    fn send_limited(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        value: T,
-        wait: Wait,
-    ) -> Result<(), SendTimeoutError<T>> {
-        let mut item = Some(value);
-        let res = wait.until(&self.not_full, || {
-            match self.try_send(h, item.take().expect("item present")) {
-                Ok(()) => Some(Ok(())),
-                Err(TrySendError::Closed(v)) => Some(Err(SendTimeoutError::Closed(v))),
-                Err(TrySendError::Full(v)) => {
-                    item = Some(v);
-                    None
-                }
-            }
-        });
-        match res {
-            Some(r) => r,
-            None => {
-                // Deadline fired; the eventcount already ran one final
-                // attempt, so `item` is still ours. Pin close-vs-timeout:
-                // a queue closed before the deadline reports Closed even
-                // if the last attempt raced the flag.
-                let v = item.take().expect("item present on timeout");
-                if self.is_closed() {
-                    Err(SendTimeoutError::Closed(v))
-                } else {
-                    Err(SendTimeoutError::Timeout(v))
-                }
-            }
-        }
-    }
-
-    /// [`recv`](Self::recv) with an absolute deadline. `Closed` still has
-    /// drain semantics (every accepted element is delivered before the
-    /// closed state is reported), and close-vs-timeout is pinned the same
-    /// way as for sends: closed-and-drained before the deadline reports
-    /// [`RecvTimeoutError::Closed`], never `Timeout`.
-    pub fn recv_deadline(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        deadline: Instant,
+        limit: TimeLimit,
     ) -> Result<T, RecvTimeoutError> {
-        self.recv_limited(h, Wait::Deadline(deadline))
+        self.recv_shaped(h, One, limit)
     }
 
-    /// [`recv_deadline`](Self::recv_deadline) with a relative timeout
-    /// (clock read only if the queue is actually empty long enough to
-    /// park).
-    pub fn recv_timeout(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        timeout: Duration,
-    ) -> Result<T, RecvTimeoutError> {
-        self.recv_limited(h, Wait::Timeout(timeout))
-    }
-
-    fn recv_limited(&self, h: &mut BoxedHandle<Q>, wait: Wait) -> Result<T, RecvTimeoutError> {
-        let res = wait.until(&self.not_empty, || match self.try_recv(h) {
-            Ok(v) => Some(Ok(v)),
-            Err(TryRecvError::Closed) => {
-                // Final drain check after observing the flag, as in recv.
-                Some(self.try_recv(h).map_err(|_| RecvTimeoutError::Closed))
-            }
-            Err(TryRecvError::Empty) => None,
-        });
-        match res {
-            Some(r) => r,
-            // Timed out with the queue open as of the last attempt; the
-            // close-vs-timeout pin re-checks the flag (with one more
-            // drain pass) before blaming the clock.
-            None => {
-                if self.is_closed() {
-                    self.try_recv(h).map_err(|_| RecvTimeoutError::Closed)
-                } else {
-                    Err(RecvTimeoutError::Timeout)
-                }
-            }
-        }
-    }
-
-    /// [`send_all`](Self::send_all) with an absolute deadline: on timeout
-    /// the unsent suffix comes back as `Timeout(suffix)`; the accepted
-    /// prefix stays in the queue (conservation, as with close).
-    pub fn send_all_deadline(
+    /// [`send_all`](Self::send_all) under a time limit: on timeout the
+    /// unsent suffix comes back as `Timeout(suffix)`; the accepted prefix
+    /// stays in the queue (conservation, as with close).
+    pub fn send_all_within(
         &self,
         h: &mut BoxedHandle<Q>,
         items: Vec<T>,
-        deadline: Instant,
+        limit: TimeLimit,
     ) -> Result<(), SendTimeoutError<Vec<T>>> {
-        self.send_all_limited(h, items, Wait::Deadline(deadline))
+        self.send_shaped::<Many>(h, items, limit)
     }
 
-    /// [`send_all_deadline`](Self::send_all_deadline) with a relative
-    /// timeout (lazy deadline resolution, like
-    /// [`send_timeout`](Self::send_timeout)).
-    pub fn send_all_timeout(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        items: Vec<T>,
-        timeout: Duration,
-    ) -> Result<(), SendTimeoutError<Vec<T>>> {
-        self.send_all_limited(h, items, Wait::Timeout(timeout))
-    }
-
-    fn send_all_limited(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        items: Vec<T>,
-        wait: Wait,
-    ) -> Result<(), SendTimeoutError<Vec<T>>> {
-        // Box once, retry on the token run — same pattern as send_all.
-        let tokens: Vec<u64> = items
-            .into_iter()
-            .map(BoxedQueue::<T, Q>::box_token)
-            .collect();
-        let mut sent = 0usize;
-        let res = wait.until(&self.not_full, || {
-            if self.is_closed() {
-                let unsent = tokens[sent..]
-                    .iter()
-                    .map(|&t| BoxedQueue::<T, Q>::unbox_token(t))
-                    .collect();
-                sent = tokens.len(); // the suffix's ownership moved out
-                return Some(Err(SendTimeoutError::Closed(unsent)));
-            }
-            let n = self.contain(|| self.inner.enqueue_tokens(h, &tokens[sent..]));
-            if n > 0 {
-                self.not_empty.wake_all();
-            }
-            sent += n;
-            (sent == tokens.len()).then_some(Ok(()))
-        });
-        match res {
-            Some(r) => r,
-            None => {
-                let unsent: Vec<T> = tokens[sent..]
-                    .iter()
-                    .map(|&t| BoxedQueue::<T, Q>::unbox_token(t))
-                    .collect();
-                if self.is_closed() {
-                    Err(SendTimeoutError::Closed(unsent))
-                } else {
-                    Err(SendTimeoutError::Timeout(unsent))
-                }
-            }
-        }
-    }
-
-    /// [`recv_many`](Self::recv_many) with an absolute deadline: `Ok` is
-    /// always non-empty; `Timeout` means the deadline passed with nothing
-    /// to take, `Closed` means closed and fully drained.
-    pub fn recv_many_deadline(
+    /// [`recv_many`](Self::recv_many) under a time limit: `Ok` is always
+    /// non-empty; `Timeout` means the limit passed with nothing to take,
+    /// `Closed` means closed and fully drained.
+    pub fn recv_many_within(
         &self,
         h: &mut BoxedHandle<Q>,
         max: usize,
-        deadline: Instant,
-    ) -> Result<Vec<T>, RecvTimeoutError> {
-        self.recv_many_limited(h, max, Wait::Deadline(deadline))
-    }
-
-    /// [`recv_many_deadline`](Self::recv_many_deadline) with a relative
-    /// timeout.
-    pub fn recv_many_timeout(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        max: usize,
-        timeout: Duration,
-    ) -> Result<Vec<T>, RecvTimeoutError> {
-        self.recv_many_limited(h, max, Wait::Timeout(timeout))
-    }
-
-    fn recv_many_limited(
-        &self,
-        h: &mut BoxedHandle<Q>,
-        max: usize,
-        wait: Wait,
+        limit: TimeLimit,
     ) -> Result<Vec<T>, RecvTimeoutError> {
         assert!(max > 0, "recv_many needs a positive batch bound");
-        let mut out = Vec::new();
-        let res = wait.until(&self.not_empty, || {
-            if self.try_recv_many(h, max, &mut out) > 0 {
-                return Some(Ok(()));
-            }
-            if self.is_closed() {
-                // Final drain check after observing the flag.
-                if self.try_recv_many(h, max, &mut out) > 0 {
-                    return Some(Ok(()));
-                }
-                return Some(Err(RecvTimeoutError::Closed));
-            }
-            None
-        });
-        match res {
-            Some(Ok(())) => Ok(out),
-            Some(Err(e)) => Err(e),
-            None => {
-                if !out.is_empty() {
-                    return Ok(out);
-                }
-                if self.is_closed() {
-                    if self.try_recv_many(h, max, &mut out) > 0 {
-                        Ok(out)
-                    } else {
-                        Err(RecvTimeoutError::Closed)
-                    }
-                } else {
-                    Err(RecvTimeoutError::Timeout)
-                }
+        self.recv_shaped(h, Many(max), limit)
+    }
+
+    fn send_shaped<S: Shape<T>>(
+        &self,
+        h: &mut BoxedHandle<Q>,
+        items: S::Items,
+        limit: TimeLimit,
+    ) -> Result<(), SendTimeoutError<S::Items>> {
+        let mut unsent = Unsent::<T, S>::new(items);
+        settle(&self.not_full, limit, |expired| {
+            self.send_step(h, &mut unsent, expired)
+        })
+    }
+
+    fn recv_shaped<S: Shape<T>>(
+        &self,
+        h: &mut BoxedHandle<Q>,
+        shape: S,
+        limit: TimeLimit,
+    ) -> Result<S::Items, RecvTimeoutError> {
+        settle(&self.not_empty, limit, |expired| {
+            self.recv_step(h, &shape, expired)
+        })
+    }
+
+    /// The send-side attempt step, shared by both façades: closed beats
+    /// everything, an expired wait gives the suffix back as `Timeout`,
+    /// otherwise offer the suffix and finish once all of it is accepted.
+    pub(crate) fn send_step<S: Shape<T>>(
+        &self,
+        h: &mut BoxedHandle<Q>,
+        unsent: &mut Unsent<T, S>,
+        expired: bool,
+    ) -> Option<Result<(), SendTimeoutError<S::Items>>> {
+        if self.is_closed() {
+            return Some(Err(SendTimeoutError::Closed(unsent.take())));
+        }
+        if expired {
+            return Some(Err(SendTimeoutError::Timeout(unsent.take())));
+        }
+        if unsent.offer(|t| self.contain(|| self.inner.enqueue_tokens(h, t))) > 0 {
+            self.not_empty.wake_all();
+        }
+        unsent.is_done().then_some(Ok(()))
+    }
+
+    /// The recv-side attempt step, shared by both façades: take; else,
+    /// if closed, one last drain *after* reading the flag (an element
+    /// deposited between the failed take and the flag read cannot be
+    /// skipped); an expired wait skips the first take and reports
+    /// `Timeout` only for a queue still open.
+    pub(crate) fn recv_step<S: Shape<T>>(
+        &self,
+        h: &mut BoxedHandle<Q>,
+        shape: &S,
+        expired: bool,
+    ) -> Option<Result<S::Items, RecvTimeoutError>> {
+        if !expired {
+            if let Some(got) = shape.take(self, h) {
+                return Some(Ok(got));
             }
         }
+        if self.is_closed() {
+            return Some(shape.take(self, h).ok_or(RecvTimeoutError::Closed));
+        }
+        expired.then_some(Err(RecvTimeoutError::Timeout))
     }
 
     /// Capacity of the underlying queue.
@@ -676,13 +608,22 @@ impl<T: Send, Q: PointerCapable> BlockingQueue<T, Q> {
     }
 }
 
+/// Run one direction's thread wait: `step(false)` is an attempt and
+/// `step(true)` settles a wait whose limit passed (it always returns
+/// `Some`).
+fn settle<R>(ec: &EventCount, limit: TimeLimit, mut step: impl FnMut(bool) -> Option<R>) -> R {
+    ec.wait(limit, || step(false))
+        .or_else(|| step(true))
+        .expect("an expired step settles the wait")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimal::OptimalQueue;
     use crate::sharded::ShardedQueue;
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn make(c: usize, t: usize) -> BlockingQueue<u64, OptimalQueue> {
         BlockingQueue::new(OptimalQueue::with_capacity_and_threads(c, t))
@@ -910,7 +851,7 @@ mod tests {
         q.try_send(&mut h, 1).unwrap();
         let start = std::time::Instant::now();
         let err = q
-            .send_timeout(&mut h, 2, Duration::from_millis(30))
+            .send_within(&mut h, 2, TimeLimit::Timeout(Duration::from_millis(30)))
             .unwrap_err();
         assert_eq!(err, SendTimeoutError::Timeout(2), "value handed back");
         assert!(err.is_timeout());
@@ -933,12 +874,12 @@ mod tests {
         let mut h = q.register();
         let start = std::time::Instant::now();
         assert_eq!(
-            q.recv_timeout(&mut h, Duration::from_millis(30)),
+            q.recv_within(&mut h, TimeLimit::Timeout(Duration::from_millis(30))),
             Err(RecvTimeoutError::Timeout)
         );
         assert!(start.elapsed() >= Duration::from_millis(30));
         assert_eq!(
-            q.recv_deadline(&mut h, std::time::Instant::now()),
+            q.recv_within(&mut h, TimeLimit::Deadline(std::time::Instant::now())),
             Err(RecvTimeoutError::Timeout),
             "already-expired deadline returns immediately"
         );
@@ -953,49 +894,65 @@ mod tests {
         let q2 = Arc::clone(&q);
         let sender = std::thread::spawn(move || {
             let mut h2 = q2.register();
-            q2.send_deadline(
+            q2.send_within(
                 &mut h2,
                 2,
-                std::time::Instant::now() + Duration::from_secs(30),
+                TimeLimit::Deadline(std::time::Instant::now() + Duration::from_secs(30)),
             )
         });
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.recv_timeout(&mut h, Duration::from_secs(30)), Ok(1));
+        assert_eq!(
+            q.recv_within(&mut h, TimeLimit::Timeout(Duration::from_secs(30))),
+            Ok(1)
+        );
         sender.join().unwrap().unwrap();
         assert_eq!(q.recv(&mut h), Some(2));
     }
 
     #[test]
     fn closed_queue_reports_closed_not_timeout() {
-        // The close-vs-timeout pin, deterministic half: the queue is
-        // closed (and drained) strictly before the timed call, so even a
-        // zero/past deadline must blame the close, not the clock.
-        let q = make(2, 1);
-        let mut h = q.register();
-        q.try_send(&mut h, 1).unwrap();
-        q.close();
-        let past = std::time::Instant::now() - Duration::from_millis(1);
-        assert_eq!(
-            q.send_deadline(&mut h, 9, past),
-            Err(SendTimeoutError::Closed(9)),
-            "closed beats timeout for senders"
-        );
-        // Drain semantics survive the timed path: the accepted element
-        // is delivered before Closed is reported.
-        assert_eq!(q.recv_deadline(&mut h, past), Ok(1));
-        assert_eq!(
-            q.recv_deadline(&mut h, past),
-            Err(RecvTimeoutError::Closed),
-            "closed-and-drained beats timeout for receivers"
-        );
-        assert_eq!(
-            q.recv_many_timeout(&mut h, 4, Duration::ZERO),
-            Err(RecvTimeoutError::Closed)
-        );
-        assert_eq!(
-            q.send_all_timeout(&mut h, vec![7, 8], Duration::ZERO),
-            Err(SendTimeoutError::Closed(vec![7, 8]))
-        );
+        // The close-vs-timeout pin, deterministic half, for every (shape,
+        // limit) pair: the queue is closed strictly before the call, so
+        // even an expired limit must blame the close, not the clock, and
+        // receivers still drain every accepted element first.
+        let past = Instant::now() - Duration::from_millis(1);
+        for limit in [
+            TimeLimit::Never,
+            TimeLimit::Deadline(past),
+            TimeLimit::Timeout(Duration::ZERO),
+        ] {
+            let q = make(2, 1);
+            let mut h = q.register();
+            q.try_send(&mut h, 1).unwrap();
+            q.try_send(&mut h, 2).unwrap();
+            q.close();
+            assert_eq!(
+                q.send_within(&mut h, 9, limit),
+                Err(SendTimeoutError::Closed(9)),
+                "one, {limit:?}: closed beats timeout for senders"
+            );
+            assert_eq!(
+                q.send_all_within(&mut h, vec![7, 8], limit),
+                Err(SendTimeoutError::Closed(vec![7, 8])),
+                "many, {limit:?}"
+            );
+            assert_eq!(q.recv_within(&mut h, limit), Ok(1), "one, {limit:?}");
+            assert_eq!(
+                q.recv_many_within(&mut h, 4, limit),
+                Ok(vec![2]),
+                "many, {limit:?}"
+            );
+            assert_eq!(
+                q.recv_within(&mut h, limit),
+                Err(RecvTimeoutError::Closed),
+                "one, {limit:?}: closed-and-drained beats timeout"
+            );
+            assert_eq!(
+                q.recv_many_within(&mut h, 4, limit),
+                Err(RecvTimeoutError::Closed),
+                "many, {limit:?}"
+            );
+        }
     }
 
     #[test]
@@ -1007,7 +964,10 @@ mod tests {
         let q2 = Arc::clone(&q);
         let receiver = std::thread::spawn(move || {
             let mut h = q2.register();
-            q2.recv_deadline(&mut h, std::time::Instant::now() + Duration::from_secs(60))
+            q2.recv_within(
+                &mut h,
+                TimeLimit::Deadline(std::time::Instant::now() + Duration::from_secs(60)),
+            )
         });
         while q.not_empty_event().waiter_count() == 0 {
             std::thread::yield_now();
@@ -1026,7 +986,11 @@ mod tests {
         let q = make(2, 1);
         let mut h = q.register();
         let err = q
-            .send_all_timeout(&mut h, vec![1, 2, 3, 4, 5], Duration::from_millis(30))
+            .send_all_within(
+                &mut h,
+                vec![1, 2, 3, 4, 5],
+                TimeLimit::Timeout(Duration::from_millis(30)),
+            )
             .unwrap_err();
         assert_eq!(
             err,
@@ -1035,7 +999,7 @@ mod tests {
         );
         // Conservation: prefix + suffix = everything.
         assert_eq!(
-            q.recv_many_timeout(&mut h, 8, Duration::ZERO),
+            q.recv_many_within(&mut h, 8, TimeLimit::Timeout(Duration::ZERO)),
             Ok(vec![1, 2])
         );
     }
@@ -1051,16 +1015,16 @@ mod tests {
         });
         let mut h = q.register();
         assert_eq!(
-            q.recv_many_deadline(
+            q.recv_many_within(
                 &mut h,
                 4,
-                std::time::Instant::now() + Duration::from_secs(30)
+                TimeLimit::Deadline(std::time::Instant::now() + Duration::from_secs(30))
             ),
             Ok(vec![42])
         );
         producer.join().unwrap();
         assert_eq!(
-            q.recv_many_timeout(&mut h, 4, Duration::from_millis(10)),
+            q.recv_many_within(&mut h, 4, TimeLimit::Timeout(Duration::from_millis(10))),
             Err(RecvTimeoutError::Timeout)
         );
     }
@@ -1131,7 +1095,7 @@ mod tests {
         assert_eq!(q.try_send(&mut h, 3), Err(TrySendError::Closed(3)));
         assert_eq!(q.send(&mut h, 4), Err(SendError(4)));
         assert_eq!(
-            q.send_timeout(&mut h, 5, Duration::ZERO),
+            q.send_within(&mut h, 5, TimeLimit::Timeout(Duration::ZERO)),
             Err(SendTimeoutError::Closed(5))
         );
         // Accepted elements still drain (the fault hit before any state
@@ -1151,15 +1115,16 @@ mod tests {
         q.try_send(&mut h, 2).unwrap();
         assert_eq!(q.try_send(&mut h, 3), Err(TrySendError::Full(3)));
         assert_eq!(
-            q.recv_timeout(&mut h, Duration::from_millis(5)).ok(),
+            q.recv_within(&mut h, TimeLimit::Timeout(Duration::from_millis(5)))
+                .ok(),
             Some(1)
         );
         assert_eq!(
-            q.recv_many_timeout(&mut h, 4, Duration::from_millis(5)),
+            q.recv_many_within(&mut h, 4, TimeLimit::Timeout(Duration::from_millis(5))),
             Ok(vec![2])
         );
         assert_eq!(
-            q.recv_timeout(&mut h, Duration::from_millis(5)),
+            q.recv_within(&mut h, TimeLimit::Timeout(Duration::from_millis(5))),
             Err(RecvTimeoutError::Timeout)
         );
         // The handle is still live: fold its data-path deltas in first

@@ -52,6 +52,23 @@ impl PointerCapable for OptimalQueue {
     }
 }
 
+/// Box a value into its token form. Internal: pairs with
+/// [`BoxedQueue::enqueue_tokens`] so the waiting façades can retry a
+/// parked send without re-boxing it on every wake.
+pub(crate) fn box_token<T>(value: T) -> u64 {
+    Box::into_raw(Box::new(value)) as u64
+}
+
+/// Reclaim a value from a token produced by [`box_token`] that was
+/// **not** accepted by the queue: the waiting façades hand an unsent
+/// suffix back (or drop it) through here.
+pub(crate) fn unbox_token<T>(token: u64) -> T {
+    // SAFETY: only called on tokens from `box_token` that the inner
+    // queue rejected or that were never offered, so ownership of the
+    // box never left the caller.
+    *unsafe { Box::from_raw(token as *mut T) }
+}
+
 /// A bounded queue of owned `T` values over a pointer-capable token queue.
 pub struct BoxedQueue<T, Q: PointerCapable> {
     inner: Q,
@@ -138,29 +155,11 @@ impl<T: Send, Q: PointerCapable> BoxedQueue<T, Q> {
             .collect()
     }
 
-    /// Box a value into its token form. Internal: pairs with
-    /// [`enqueue_tokens`](Self::enqueue_tokens) so the blocking façade can
-    /// retry a parked batch without re-boxing it on every wake.
-    pub(crate) fn box_token(value: T) -> u64 {
-        Box::into_raw(Box::new(value)) as u64
-    }
-
-    /// Enqueue already-boxed tokens (prefix accepted); returns the count.
+    /// Enqueue tokens from [`box_token`] (prefix accepted); returns the count.
     /// The caller retains ownership of — and responsibility for — the
     /// rejected suffix.
     pub(crate) fn enqueue_tokens(&self, h: &mut BoxedHandle<Q>, tokens: &[u64]) -> usize {
         self.inner.enqueue_many(&mut h.inner, tokens)
-    }
-
-    /// Reclaim a value from a token produced by [`box_token`](Self::box_token)
-    /// that was **not** accepted by the queue. Pairs with `box_token` so
-    /// the blocking façade's `send_all` can hand the unsent suffix back on
-    /// close.
-    pub(crate) fn unbox_token(token: u64) -> T {
-        // SAFETY: only called on tokens from `box_token` that the inner
-        // queue rejected or that were never offered, so ownership of the
-        // box never left the caller.
-        *unsafe { Box::from_raw(token as *mut T) }
     }
 
     /// Batch dequeue passthrough: drains up to `max` values through the

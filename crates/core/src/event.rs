@@ -1,13 +1,12 @@
 //! The **waiter subsystem**: a reusable eventcount that parks OS threads
-//! *and* async tasks on the same wake generations.
+//! *and* async tasks on the same wake generations, with one wait loop
+//! and one [`TimeLimit`] for every kind of wait.
 //!
-//! [`BlockingQueue`](crate::BlockingQueue) originally inlined this
-//! machinery as a private `ParkSide`. The announce → snapshot →
-//! re-attempt → park protocol it implements is not queue-specific, and
-//! the async façade ([`AsyncQueue`](crate::AsyncQueue)) needs the same
-//! lost-wake guarantees for [`core::task::Waker`]s — so the protocol now
-//! lives here as a standalone [`EventCount`], and both façades are thin
-//! clients of one instance per wait direction.
+//! Both façades ([`BlockingQueue`](crate::BlockingQueue) for threads,
+//! [`AsyncQueue`](crate::AsyncQueue) for tasks) are thin clients of one
+//! [`EventCount`] per wait direction: threads wait in
+//! [`EventCount::wait`], tasks register their [`Waker`]s with
+//! [`EventCount::register`].
 //!
 //! ## The protocol
 //!
@@ -34,9 +33,20 @@
 //! before sleeping (and skips the park) or is woken from, because the
 //! bump happens under the lock the thread holds until the moment it
 //! sleeps; a task is in the waker list by then, so the drain calls its
-//! waker and the executor re-polls it. Either way no wake is lost, waits
-//! are untimed, and the uncontended notifier fast path is one atomic
-//! load (`waiters == 0`).
+//! waker and the executor re-polls it. Either way no wake is lost, and
+//! the uncontended notifier fast path is one atomic load
+//! (`waiters == 0`).
+//!
+//! ## Time limits
+//!
+//! Every wait carries a [`TimeLimit`]. [`Never`](TimeLimit::Never) parks
+//! on the untimed condvar wait, so the schedule explorer still sees an
+//! untimed block (its lost-wake deadlock verdict depends on that).
+//! [`Timeout`](TimeLimit::Timeout) becomes a deadline only at the first
+//! park: an operation that succeeds without waiting never reads the
+//! clock. When a deadline fires, the loop makes one final attempt before
+//! reporting `None`, so a transition racing the deadline is taken, never
+//! dropped.
 //!
 //! Wakes are deliberately **broadcast** (notify-all + drain-all-wakers):
 //! a woken waiter that no longer wants the event — e.g. a cancelled
@@ -58,6 +68,29 @@ use std::time::{Duration, Instant};
 
 use crate::obs::{MetricsSnapshot, WaitCounters};
 use crate::simx::{SimAtomicU64, SimAtomicUsize, SimCondvar, SimMutex};
+
+/// How long a wait may last, for threads and tasks alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimeLimit {
+    /// Wait until the operation completes or the queue closes.
+    Never,
+    /// Give up at this instant.
+    Deadline(Instant),
+    /// Give up this long after the wait first parks. The clock is read
+    /// only then, so an operation that never waits never reads it.
+    Timeout(Duration),
+}
+
+impl TimeLimit {
+    /// Turn a relative `Timeout` into a `Deadline` from now; the other
+    /// limits come back unchanged. Waiters call this at the first park.
+    pub(crate) fn resolve(self) -> TimeLimit {
+        match self {
+            TimeLimit::Timeout(t) => TimeLimit::Deadline(Instant::now() + t),
+            other => other,
+        }
+    }
+}
 
 /// Identifies one registered waker within an [`EventCount`]'s waiter
 /// list. Returned by [`EventCount::register`]; pass it back to
@@ -195,117 +228,20 @@ impl EventCount {
         }
     }
 
-    /// Thread-parking waiter half: run `attempt` until it returns
-    /// `Some(r)`, parking between failed attempts with the announce →
-    /// snapshot → re-attempt → park-if-unchanged protocol.
-    pub fn wait_until<R>(&self, mut attempt: impl FnMut() -> Option<R>) -> R {
-        if let Some(r) = attempt() {
-            return r;
-        }
-        let mut timer = ParkTimer::new();
-        let mut parked = false;
-        loop {
-            self.waiters.fetch_add(1, Ordering::SeqCst);
-            let gen = self.generation.load(Ordering::SeqCst);
-            // Re-attempt after announcing: closes the race with a
-            // notifier that read `waiters` before our increment.
-            if let Some(r) = attempt() {
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
-                if parked {
-                    self.obs.park_ns.record(timer.elapsed_ns());
-                }
-                return r;
-            }
-            if parked {
-                // We were woken (or skipped a park on a stale generation)
-                // and the condition is still false.
-                self.obs.spurious_wakes.hit();
-            }
-            {
-                let mut guard = self.gate.lock();
-                if self.generation.load(Ordering::SeqCst) == gen {
-                    self.obs.thread_parks.hit();
-                    timer.arm();
-                    parked = true;
-                    self.cond.wait(&mut guard);
-                }
-            }
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Timed park primitive: announce, re-check the generation against
-    /// the caller's snapshot `gen` under the gate lock, and sleep until a
-    /// wake or `deadline` — a condvar `wait_timeout` under the existing
-    /// gate lock, no timed polling. Returns `true` when a wake may have
-    /// been published (generation moved, a notify landed, or a spurious
-    /// wakeup — re-check your condition), `false` when the deadline
-    /// fired. A deadline at or before now returns `false` without
-    /// sleeping.
-    ///
-    /// The clock is read only here, when a park actually happens — never
-    /// on an operation's success path. Callers must **re-attempt their
-    /// operation after any return**, including `false`: the announce in
-    /// this call comes after the caller's last attempt, so a transition
-    /// landing in that window produces no wake, and only the re-attempt
-    /// observes it. The canonical loop that closes the window by
-    /// attempting *between* announce and park is
-    /// [`wait_until_deadline`](Self::wait_until_deadline).
-    pub fn park_deadline(&self, gen: u64, deadline: Instant) -> bool {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let woke = {
-            let mut guard = self.gate.lock();
-            if self.generation.load(Ordering::SeqCst) != gen {
-                true
-            } else {
-                self.obs.thread_parks.hit();
-                self.cond.wait_deadline(&mut guard, deadline)
-            }
-        };
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        if !woke {
-            self.obs.timeout_expiries.hit();
-        }
-        woke
-    }
-
-    /// Timed [`wait_until`](Self::wait_until): run `attempt` until it
-    /// returns `Some(r)` or `deadline` passes. Returns `None` on
-    /// timeout — after one final attempt, so a transition racing the
-    /// timeout is still taken. Same announce → snapshot → re-attempt →
-    /// park-if-unchanged protocol; the park is a condvar `wait_timeout`
-    /// under the gate lock.
-    pub fn wait_until_deadline<R>(
+    /// The thread wait loop: run `attempt` until it returns `Some(r)`,
+    /// parking between failed attempts with the announce → snapshot →
+    /// re-attempt → park-if-unchanged protocol. Returns `None` once
+    /// `limit` passes — after one final attempt, so a transition racing
+    /// the deadline is still taken. Under [`TimeLimit::Never`] it only
+    /// returns `Some`.
+    pub fn wait<R>(
         &self,
-        deadline: Instant,
-        attempt: impl FnMut() -> Option<R>,
-    ) -> Option<R> {
-        self.wait_until_limited(Limit::At(deadline), attempt)
-    }
-
-    /// Relative-timeout variant of
-    /// [`wait_until_deadline`](Self::wait_until_deadline). The deadline
-    /// is computed lazily at the **first park** (`Instant::now() +
-    /// timeout`), so an operation that succeeds without waiting never
-    /// reads the clock — the E16 "timed costs nothing unless a waiter
-    /// parks" property.
-    pub fn wait_until_timeout<R>(
-        &self,
-        timeout: Duration,
-        attempt: impl FnMut() -> Option<R>,
-    ) -> Option<R> {
-        self.wait_until_limited(Limit::After(timeout), attempt)
-    }
-
-    fn wait_until_limited<R>(
-        &self,
-        limit: Limit,
+        mut limit: TimeLimit,
         mut attempt: impl FnMut() -> Option<R>,
     ) -> Option<R> {
         if let Some(r) = attempt() {
             return Some(r);
         }
-        let mut deadline: Option<Instant> = None;
         let mut timer = ParkTimer::new();
         let mut parked = false;
         loop {
@@ -321,29 +257,35 @@ impl EventCount {
                 return Some(r);
             }
             if parked {
+                // We were woken (or skipped a park on a stale generation)
+                // and the condition is still false.
                 self.obs.spurious_wakes.hit();
             }
-            // First park only: this is the single place the clock is
-            // read, so uncontended timed ops never touch a timer.
-            let dl = *deadline.get_or_insert_with(|| limit.resolve());
+            // Before the first park a `Timeout` becomes a deadline: the
+            // loop's only clock read (a no-op for the other limits).
+            limit = limit.resolve();
             let woke = {
                 let mut guard = self.gate.lock();
-                if self.generation.load(Ordering::SeqCst) == gen {
+                if self.generation.load(Ordering::SeqCst) != gen {
+                    true
+                } else {
                     self.obs.thread_parks.hit();
                     timer.arm();
                     parked = true;
-                    self.cond.wait_deadline(&mut guard, dl)
-                } else {
-                    true
+                    match limit {
+                        TimeLimit::Deadline(d) => self.cond.wait_deadline(&mut guard, d),
+                        _ => {
+                            self.cond.wait(&mut guard);
+                            true
+                        }
+                    }
                 }
             };
             self.waiters.fetch_sub(1, Ordering::SeqCst);
             if !woke {
                 // Deadline fired: one final attempt, then report timeout.
                 self.obs.timeout_expiries.hit();
-                if parked {
-                    self.obs.park_ns.record(timer.elapsed_ns());
-                }
+                self.obs.park_ns.record(timer.elapsed_ns());
                 return attempt();
             }
         }
@@ -400,23 +342,6 @@ impl EventCount {
 impl Default for EventCount {
     fn default() -> Self {
         EventCount::new()
-    }
-}
-
-/// How long a timed wait is allowed to run: an absolute deadline, or a
-/// relative timeout resolved to one at the first park (so the clock is
-/// never read before a waiter actually parks).
-enum Limit {
-    At(Instant),
-    After(Duration),
-}
-
-impl Limit {
-    fn resolve(&self) -> Instant {
-        match self {
-            Limit::At(t) => *t,
-            Limit::After(d) => Instant::now() + *d,
-        }
     }
 }
 
@@ -514,7 +439,7 @@ mod tests {
             let ec = Arc::clone(&ec);
             let go = Arc::clone(&go);
             std::thread::spawn(move || {
-                ec.wait_until(|| go.load(Ordering::SeqCst).then_some(()));
+                ec.wait(TimeLimit::Never, || go.load(Ordering::SeqCst).then_some(()));
             })
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -531,16 +456,16 @@ mod tests {
     #[test]
     fn wait_until_immediate_success_never_announces() {
         let ec = EventCount::new();
-        assert_eq!(ec.wait_until(|| Some(7)), 7);
+        assert_eq!(ec.wait(TimeLimit::Never, || Some(7)), Some(7));
         assert_eq!(ec.waiter_count(), 0);
     }
 
     #[test]
-    fn park_deadline_past_deadline_returns_false_without_sleeping() {
+    fn wait_past_deadline_returns_none_without_sleeping() {
         let ec = EventCount::new();
-        let start = std::time::Instant::now();
-        let woke = ec.park_deadline(ec.generation(), start);
-        assert!(!woke, "past deadline reports timeout");
+        let start = Instant::now();
+        let r = ec.wait(TimeLimit::Deadline(start), || None::<()>);
+        assert!(r.is_none(), "past deadline reports timeout");
         assert!(
             start.elapsed() < Duration::from_millis(100),
             "no park happened"
@@ -549,34 +474,54 @@ mod tests {
     }
 
     #[test]
-    fn park_deadline_stale_generation_reports_woken() {
+    fn wait_skips_the_park_on_a_stale_generation() {
+        // The wake lands between the post-announce attempt and the gate
+        // lock (the attempt itself publishes it, counting our own
+        // announce as a waiter): the generation check must skip the park
+        // and re-attempt instead of sleeping out the 30 s deadline.
         let ec = EventCount::new();
-        let gen = ec.generation();
-        // Generation can only move with an announced waiter present.
-        let (_f, w) = flag_waker();
-        let id = ec.register(gen, &w).unwrap();
-        ec.wake_all();
-        let _ = id;
-        let woke = ec.park_deadline(gen, Instant::now() + Duration::from_secs(5));
-        assert!(woke, "stale snapshot means a wake was already published");
+        let mut calls = 0u32;
+        let start = Instant::now();
+        let r = ec.wait(TimeLimit::Timeout(Duration::from_secs(30)), || {
+            calls += 1;
+            match calls {
+                1 => None,
+                2 => {
+                    ec.wake_all();
+                    None
+                }
+                _ => Some(calls),
+            }
+        });
+        assert_eq!(r, Some(3), "re-attempted right after the stale check");
+        assert!(start.elapsed() < Duration::from_secs(5), "no park happened");
         assert_eq!(ec.waiter_count(), 0);
     }
 
     #[test]
-    fn park_deadline_is_woken_by_wake_all() {
+    fn wake_all_wakes_a_timed_parker() {
         let ec = Arc::new(EventCount::new());
+        let go = Arc::new(AtomicBool::new(false));
         let t = {
             let ec = Arc::clone(&ec);
+            let go = Arc::clone(&go);
             std::thread::spawn(move || {
-                ec.park_deadline(ec.generation(), Instant::now() + Duration::from_secs(30))
+                let start = Instant::now();
+                let r = ec.wait(TimeLimit::Timeout(Duration::from_secs(30)), || {
+                    go.load(Ordering::SeqCst).then_some(())
+                });
+                (r, start.elapsed())
             })
         };
-        // Wait for the waiter to announce, then wake it.
+        // Wait for the waiter to announce, then publish and wake it.
         while ec.waiter_count() == 0 {
             std::thread::yield_now();
         }
+        go.store(true, Ordering::SeqCst);
         ec.wake_all();
-        assert!(t.join().unwrap(), "woken well before the 30 s deadline");
+        let (r, waited) = t.join().unwrap();
+        assert_eq!(r, Some(()));
+        assert!(waited < Duration::from_secs(15), "woken, not timed out");
         assert_eq!(ec.waiter_count(), 0);
     }
 
@@ -585,7 +530,7 @@ mod tests {
         let ec = EventCount::new();
         let mut calls = 0u32;
         let start = Instant::now();
-        let r = ec.wait_until_timeout(Duration::from_millis(30), || {
+        let r = ec.wait(TimeLimit::Timeout(Duration::from_millis(30)), || {
             calls += 1;
             None::<()>
         });
@@ -604,7 +549,8 @@ mod tests {
         let t = {
             let ec = Arc::clone(&ec);
             std::thread::spawn(move || {
-                ec.wait_until_deadline(Instant::now() + Duration::from_millis(80), || None::<()>)
+                let limit = TimeLimit::Deadline(Instant::now() + Duration::from_millis(80));
+                ec.wait(limit, || None::<()>)
             })
         };
         while ec.waiter_count() == 0 {
@@ -626,7 +572,7 @@ mod tests {
         let id = ec.register(ec.generation(), &w).unwrap();
         ec.deregister(id);
         // A timed wait that never succeeds parks and expires.
-        let r = ec.wait_until_timeout(Duration::from_millis(5), || None::<()>);
+        let r = ec.wait(TimeLimit::Timeout(Duration::from_millis(5)), || None::<()>);
         assert!(r.is_none());
         let mut snap = MetricsSnapshot::new();
         ec.snapshot_into("ec.", &mut snap);
@@ -649,7 +595,7 @@ mod tests {
         // deadline is still taken, never dropped on the floor.
         let ec = EventCount::new();
         let mut first = true;
-        let r = ec.wait_until_deadline(Instant::now(), || {
+        let r = ec.wait(TimeLimit::Deadline(Instant::now()), || {
             if first {
                 first = false;
                 None

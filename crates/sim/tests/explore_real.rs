@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use bq_core::{
     AsyncQueue, BlockingQueue, ConcurrentQueue, EventCount, OptimalQueue, RecvTimeoutError,
-    RelocBuf, RelocRing, SegmentQueue, ShardedQueue, SimAtomicU64,
+    RelocBuf, RelocRing, SegmentQueue, ShardedQueue, SimAtomicU64, TimeLimit,
 };
 use bq_sim::explore::{explore, replay, ExploreConfig, Report, RunOutcomeKind, RunSpec};
 use bq_sim::{check_history, check_history_pool, History, HistoryEvent, Op, Ret};
@@ -599,7 +599,7 @@ fn eventcount_waiters_never_park_past_the_publish() {
         });
         let waiter = |w: Arc<EcWorld>| {
             move |_ctx: &mut bq_sim::explore::Ctx| {
-                w.ec.wait_until(|| {
+                w.ec.wait(TimeLimit::Never, || {
                     if w.flag.load(Ordering::SeqCst) == 1 {
                         Some(())
                     } else {
@@ -664,7 +664,7 @@ fn eventcount_teeth_wake_before_publish_is_caught() {
         let waiter = {
             let w = Arc::clone(&w);
             move |_ctx: &mut bq_sim::explore::Ctx| {
-                w.ec.wait_until(|| {
+                w.ec.wait(TimeLimit::Never, || {
                     if w.flag.load(Ordering::SeqCst) == 1 {
                         Some(())
                     } else {
@@ -747,6 +747,10 @@ fn blocking_close_always_wakes_a_parked_receiver() {
     };
     let report = explore(&cfg(3), mk);
     assert_passed(&report, "close() vs parked receiver");
+    eprintln!(
+        "close vs parked receiver: {} executions, {} pruned",
+        report.executions, report.pruned
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -782,7 +786,7 @@ fn timed_recv_vs_send_enumerates_both_outcomes() {
                 let wakes = Arc::clone(&wakes);
                 move |ctx: &mut bq_sim::explore::Ctx| {
                     let id = ctx.invoke(Op::Dequeue);
-                    match q.recv_timeout(&mut hr, Duration::from_millis(5)) {
+                    match q.recv_within(&mut hr, TimeLimit::Timeout(Duration::from_millis(5))) {
                         Ok(v) => {
                             wakes.fetch_add(1, Ordering::SeqCst);
                             ctx.ret(id, Ret::DeqVal(v));

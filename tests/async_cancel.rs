@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use membq::core::{
     AsyncQueue, BlockingQueue, EventCount, OptimalQueue, RecvTimeoutError, SendTimeoutError,
-    ShardedQueue,
+    ShardedQueue, TimeLimit,
 };
 use membq::sim::{check_history_pool, History, HistoryEvent, Op, OpId, Ret};
 use parking_lot::Mutex;
@@ -224,19 +224,23 @@ fn past_deadline_timed_ops_return_immediately() {
     let mut h = bq.register();
     let start = Instant::now();
     assert_eq!(
-        bq.recv_deadline(&mut h, Instant::now()),
+        bq.recv_within(&mut h, TimeLimit::Deadline(Instant::now())),
         Err(RecvTimeoutError::Timeout),
         "empty queue, due deadline"
     );
     assert_eq!(
-        bq.recv_timeout(&mut h, Duration::ZERO),
+        bq.recv_within(&mut h, TimeLimit::Timeout(Duration::ZERO)),
         Err(RecvTimeoutError::Timeout),
         "zero timeout"
     );
     bq.try_send(&mut h, 1).unwrap();
     bq.try_send(&mut h, 2).unwrap();
     assert_eq!(
-        bq.send_deadline(&mut h, 3, Instant::now() - Duration::from_secs(1)),
+        bq.send_within(
+            &mut h,
+            3,
+            TimeLimit::Deadline(Instant::now() - Duration::from_secs(1))
+        ),
         Err(SendTimeoutError::Timeout(3)),
         "full queue, past deadline hands the value back"
     );
@@ -247,13 +251,13 @@ fn past_deadline_timed_ops_return_immediately() {
         AsyncQueue::new(OptimalQueue::with_capacity_and_threads(2, 1));
     let mut ah = aq.register();
     assert_eq!(
-        pollster::block_on(aq.recv_deadline(&mut ah, Instant::now())),
+        pollster::block_on(aq.recv_within(&mut ah, TimeLimit::Deadline(Instant::now()))),
         Err(RecvTimeoutError::Timeout)
     );
     aq.try_send(&mut ah, 1).unwrap();
     aq.try_send(&mut ah, 2).unwrap();
     assert_eq!(
-        pollster::block_on(aq.send_timeout(&mut ah, 3, Duration::ZERO)),
+        pollster::block_on(aq.send_within(&mut ah, 3, TimeLimit::Timeout(Duration::ZERO))),
         Err(SendTimeoutError::Timeout(3))
     );
     ec_quiescent(aq.blocking().not_empty_event(), "async past-deadline recv");
@@ -281,7 +285,7 @@ fn cancelled_timed_futures_disarm_their_timers() {
     {
         let (_flag, waker) = flag_waker();
         let mut cx = Context::from_waker(&waker);
-        let mut fut = q.recv_timeout(&mut h, far);
+        let mut fut = q.recv_within(&mut h, TimeLimit::Timeout(far));
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending(), "empty");
         assert_eq!(q.blocking().not_empty_event().registered_wakers(), 1);
         assert_eq!(timerwheel::armed_count(), baseline + 1, "timer armed");
@@ -295,13 +299,80 @@ fn cancelled_timed_futures_disarm_their_timers() {
     {
         let (_flag, waker) = flag_waker();
         let mut cx = Context::from_waker(&waker);
-        let mut fut = q.send_timeout(&mut h, 9, far);
+        let mut fut = q.send_within(&mut h, 9, TimeLimit::Timeout(far));
         assert!(Pin::new(&mut fut).poll(&mut cx).is_pending(), "full");
         assert_eq!(timerwheel::armed_count(), baseline + 1);
     }
     assert_eq!(timerwheel::armed_count(), baseline, "send timer disarmed");
     ec_quiescent(q.blocking().not_full_event(), "after timed send cancel");
     assert_eq!(q.len(), 2, "cancelled timed send deposited nothing");
+}
+
+/// Untimed futures carry `TimeLimit::Never`, so they read no clock and
+/// arm no wheel entry: `send`, `send_all`, `recv` and `recv_many` leave
+/// `armed_count` at its baseline while pending and after resolving. A
+/// pending `Timeout` future arms exactly one entry — a re-poll re-arms
+/// it rather than adding another — and disarms it on drop.
+#[test]
+fn untimed_futures_never_arm_a_timer() {
+    let _serial = TIMER_LOCK.lock();
+    let q: AsyncQueue<u64, OptimalQueue> =
+        AsyncQueue::new(OptimalQueue::with_capacity_and_threads(2, 2));
+    let (mut h, mut h2) = (q.register(), q.register());
+    let baseline = timerwheel::armed_count();
+    let (_flag, waker) = flag_waker();
+    let mut cx = Context::from_waker(&waker);
+
+    let mut recv = q.recv(&mut h);
+    assert!(Pin::new(&mut recv).poll(&mut cx).is_pending(), "empty");
+    assert_eq!(timerwheel::armed_count(), baseline, "pending recv");
+    q.try_send(&mut h2, 1).unwrap();
+    assert_eq!(Pin::new(&mut recv).poll(&mut cx), Poll::Ready(Some(1)));
+    drop(recv);
+    assert_eq!(timerwheel::armed_count(), baseline, "resolved recv");
+
+    let mut recv_many = q.recv_many(&mut h, 4);
+    assert!(Pin::new(&mut recv_many).poll(&mut cx).is_pending(), "empty");
+    assert_eq!(timerwheel::armed_count(), baseline, "pending recv_many");
+    q.try_send(&mut h2, 2).unwrap();
+    assert_eq!(Pin::new(&mut recv_many).poll(&mut cx), Poll::Ready(vec![2]));
+    drop(recv_many);
+    assert_eq!(timerwheel::armed_count(), baseline, "resolved recv_many");
+
+    q.try_send(&mut h2, 3).unwrap();
+    q.try_send(&mut h2, 4).unwrap();
+    let mut send = q.send(&mut h, 5);
+    assert!(Pin::new(&mut send).poll(&mut cx).is_pending(), "full");
+    assert_eq!(timerwheel::armed_count(), baseline, "pending send");
+    assert_eq!(q.try_recv(&mut h2), Ok(3));
+    assert_eq!(Pin::new(&mut send).poll(&mut cx), Poll::Ready(Ok(())));
+    drop(send);
+    assert_eq!(timerwheel::armed_count(), baseline, "resolved send");
+
+    let mut send_all = q.send_all(&mut h, vec![6, 7]);
+    assert!(Pin::new(&mut send_all).poll(&mut cx).is_pending(), "full");
+    assert_eq!(timerwheel::armed_count(), baseline, "pending send_all");
+    assert_eq!(q.try_recv(&mut h2), Ok(4));
+    assert_eq!(q.try_recv(&mut h2), Ok(5));
+    assert_eq!(Pin::new(&mut send_all).poll(&mut cx), Poll::Ready(Ok(())));
+    drop(send_all);
+    assert_eq!(timerwheel::armed_count(), baseline, "resolved send_all");
+    assert_eq!(q.try_recv(&mut h2), Ok(6));
+    assert_eq!(q.try_recv(&mut h2), Ok(7));
+
+    let mut timed = q.recv_within(&mut h, TimeLimit::Timeout(Duration::from_secs(3600)));
+    assert!(Pin::new(&mut timed).poll(&mut cx).is_pending(), "empty");
+    assert_eq!(timerwheel::armed_count(), baseline + 1, "one entry armed");
+    assert!(Pin::new(&mut timed).poll(&mut cx).is_pending(), "re-poll");
+    assert_eq!(
+        timerwheel::armed_count(),
+        baseline + 1,
+        "re-armed, not added"
+    );
+    drop(timed);
+    assert_eq!(timerwheel::armed_count(), baseline, "disarmed on drop");
+    ec_quiescent(q.blocking().not_empty_event(), "after the timer checks");
+    ec_quiescent(q.blocking().not_full_event(), "after the timer checks");
 }
 
 /// Spurious wakes neither satisfy nor break a timed wait: a receiver
@@ -319,7 +390,7 @@ fn timed_recv_survives_spurious_wakes() {
     let q2 = Arc::clone(&q);
     let rx = std::thread::spawn(move || {
         let mut h = q2.register();
-        q2.recv_timeout(&mut h, Duration::from_secs(30))
+        q2.recv_within(&mut h, TimeLimit::Timeout(Duration::from_secs(30)))
     });
     let mut h = q.register();
     for _ in 0..50 {
@@ -334,7 +405,7 @@ fn timed_recv_survives_spurious_wakes() {
     let rx = std::thread::spawn(move || {
         let mut h = q2.register();
         let start = Instant::now();
-        let r = q2.recv_timeout(&mut h, Duration::from_millis(40));
+        let r = q2.recv_within(&mut h, TimeLimit::Timeout(Duration::from_millis(40)));
         (r, start.elapsed())
     });
     for _ in 0..50 {
