@@ -15,20 +15,18 @@ fn bench_op_latency(crit: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(800));
     group.warm_up_time(std::time::Duration::from_millis(200));
     for kind in ALL_KINDS {
-        {
-            let probe = kind.build(4, 1);
-            if !probe.sound() {
-                continue;
-            }
+        if !kind.build(4, 1).sound() {
+            continue;
         }
         group.throughput(Throughput::Elements(2));
         group.bench_function(kind.name(), |b| {
             let q = kind.build(1024, 1);
+            let mut h = q.register();
             let mut v = 0u64;
             b.iter(|| {
                 v += 1;
-                assert!(q.enqueue(0, v));
-                q.dequeue(0).unwrap()
+                assert!(h.enqueue(v));
+                h.dequeue().unwrap()
             });
         });
     }

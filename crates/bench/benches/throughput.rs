@@ -15,11 +15,8 @@ fn bench_pairs(crit: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(800));
     group.warm_up_time(std::time::Duration::from_millis(200));
     for kind in ALL_KINDS {
-        {
-            let probe = kind.build(4, 1);
-            if !probe.sound() {
-                continue;
-            }
+        if !kind.build(4, 1).sound() {
+            continue;
         }
         for threads in [1usize, 2] {
             let ops = 1_000u64;
@@ -27,7 +24,8 @@ fn bench_pairs(crit: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(kind.name(), threads), &threads, |b, &t| {
                 b.iter(|| {
                     let q = kind.build(1024, t);
-                    pairs_throughput(&*q, t, ops)
+                    let mut hs = q.handles(t);
+                    pairs_throughput(&*q, &mut hs, ops)
                 });
             });
         }

@@ -8,7 +8,7 @@
 //! Hardware note (ROADMAP open item): on a single-core host the shard
 //! dimension cannot show parallel speedup — sharding removes counter
 //! contention, which only materializes with real parallelism. The batch
-//! dimension amortizes per-call costs (handle lock, shard scan, epoch
+//! dimension amortizes per-call costs (virtual call, shard scan, epoch
 //! pin, tail CAS) and shows up even solo.
 //!
 //! Run: `cargo run --release -p bq-bench --bin shard_sweep`
@@ -54,7 +54,7 @@ fn main() {
         for b in batches {
             let q = sharded_optimal(c, s, threads);
             let rounds = total_elems_per_thread / b as u64;
-            let r = batched_pairs_throughput(&*q, threads, rounds, b);
+            let r = batched_pairs_throughput(&*q, &mut q.handles(threads), rounds, b);
             print!(" {:>12.3}", r.mops());
             cells.push(SweepCell {
                 experiment: "E11-shard-batch",
@@ -84,7 +84,7 @@ fn main() {
     );
     println!(
         "\nReading: batching amortizes the per-operation fixed costs (registry\n\
-         handle lock, shard selection, epoch pin, find_segment walk, one tail\n\
+         virtual call, shard selection, epoch pin, find_segment walk, one tail\n\
          CAS per Vyukov slot run); the shard dimension needs multi-core\n\
          hardware to show its contention win — see the ROADMAP open item."
     );

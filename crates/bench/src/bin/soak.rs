@@ -46,24 +46,21 @@ fn fail_with_trace(trace: &TraceRing, round: u64, why: &str) -> ! {
 
 fn run_round(round: u64, trace: &TraceRing) {
     for kind in ALL_KINDS {
-        {
-            let probe = kind.build(4, 1);
-            if !probe.sound() {
-                continue;
-            }
+        if !kind.build(4, 1).sound() {
+            continue;
         }
         print!("round {round}: {} pairs ... ", kind.name());
         std::io::stdout().flush().unwrap();
         let q = kind.build(16, 2);
-        let r = pairs_throughput(&*q, 2, 200);
+        let r = pairs_throughput(&*q, &mut q.handles(2), 200);
         print!("ok ({} ops); batched ... ", r.ops);
         std::io::stdout().flush().unwrap();
         let q = kind.build(16, 2);
-        let r = batched_pairs_throughput(&*q, 2, 50, 4);
+        let r = batched_pairs_throughput(&*q, &mut q.handles(2), 50, 4);
         print!("ok ({} ops); pc ... ", r.ops);
         std::io::stdout().flush().unwrap();
         let q = kind.build(8, 4);
-        let r = producer_consumer_throughput(&*q, 2, 500);
+        let r = producer_consumer_throughput(&mut q.handles(4), 500);
         println!("ok ({} ops)", r.ops);
     }
     // Non-default shard counts only reachable through the sweep builder.
@@ -71,7 +68,7 @@ fn run_round(round: u64, trace: &TraceRing) {
         print!("round {round}: sharded-optimal(S={s}) batched ... ");
         std::io::stdout().flush().unwrap();
         let q = sharded_optimal(32, s, 4);
-        let r = batched_pairs_throughput(&*q, 4, 50, 4);
+        let r = batched_pairs_throughput(&*q, &mut q.handles(4), 50, 4);
         println!("ok ({} ops)", r.ops);
     }
     // Waiting façades (DESIGN.md §9): a tiny capacity makes the

@@ -45,21 +45,23 @@ fn main() {
     let mut bench_rows: Vec<BenchRow> = Vec::new();
 
     println!("=== E10a: mixed pairs throughput (C = {c}, {ops} pairs/thread) ===");
-    println!("single-core host: columns >1 thread measure contention behaviour, not speedup\n");
+    println!(
+        "{} host cores: columns with more threads than cores measure contention, not speedup\n",
+        meta.host_cores
+    );
     print!("{:<24} {:>14}", "queue", "claimed ovh");
     for t in thread_counts {
         print!(" {:>9}", format!("{t}th Mops"));
     }
     println!();
     for kind in ALL_KINDS {
-        let q0 = kind.build(4, 1);
-        if !q0.sound() {
+        if !kind.build(4, 1).sound() {
             continue; // unsound models are not performance candidates
         }
         print!("{:<24} {:>14}", kind.name(), kind.claimed_overhead());
         for t in thread_counts {
             let q = kind.build(c, t);
-            let r = pairs_throughput(&*q, t, ops);
+            let r = pairs_throughput(&*q, &mut q.handles(t), ops);
             print!(" {:>9.3}", r.mops());
             bench_rows.push(BenchRow {
                 experiment: "E10a-pairs",
@@ -115,12 +117,13 @@ fn main() {
     println!("\n=== E10c: Vyukov control for E10b (per-slot design, T-independent) ===\n");
     println!("{:>6} {:>16}", "T", "ns/op (solo)");
     for t in [1usize, 8, 64] {
-        let q = QueueKind::Vyukov.build(c, t.max(1));
+        let q = QueueKind::Vyukov.build(c, t);
+        let mut h = q.register();
         let iters = if smoke { 5_000u64 } else { 50_000u64 };
         let start = Instant::now();
         for v in 1..=iters {
-            assert!(q.enqueue(0, v));
-            q.dequeue(0).unwrap();
+            assert!(h.enqueue(v));
+            h.dequeue().unwrap();
         }
         let ns = start.elapsed().as_nanos() as f64 / (2 * iters) as f64;
         println!("{:>6} {:>16.1}", t, ns);

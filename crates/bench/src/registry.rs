@@ -2,16 +2,17 @@
 //! experiment drivers can sweep "all algorithms × all parameters" without
 //! monomorphizing each combination.
 //!
-//! [`ConcurrentQueue`] is not object safe (associated `Handle`), so
-//! [`Registered`] pre-registers `T` handles behind mutexes; each benchmark
-//! thread locks only its own handle, so the lock is always uncontended and
-//! adds a uniform constant to every implementation.
+//! [`ConcurrentQueue`] is not object safe (associated `Handle`), so the
+//! registry splits it in two: a [`DynQueue`] is the shared queue, and
+//! [`DynQueue::register`] hands out a boxed [`DynHandle`] that the calling
+//! thread owns and moves wherever it runs. Building a queue registers
+//! nothing, so a heap measurement around [`QueueKind::build`] sees the
+//! queue alone, and an operation costs the queue's own handle path plus
+//! one virtual call — no lock.
 
 use parking_lot::Mutex;
 
-use bq_baselines::{
-    CrossbeamArrayQueue, MsQueue, MutexRingQueue, ScqStyleQueue, TwoNullQueue, VyukovQueue,
-};
+use bq_baselines::{MsQueue, MutexRingQueue, ScqStyleQueue, TwoNullQueue, VyukovQueue};
 use bq_core::{
     byte_ring, ByteConsumer, ByteProducer, ConcurrentQueue, DcssQueue, DistinctQueue, LlScQueue,
     NaiveQueue, OptimalQueue, SegmentQueue, ShardedQueue,
@@ -23,14 +24,16 @@ use bq_shm::ShmQueue;
 pub trait DynQueue: Send + Sync {
     /// Algorithm name (stable across runs; used as table row label).
     fn name(&self) -> &'static str;
-    /// Enqueue on behalf of registered thread `tid`; `false` = full.
-    fn enqueue(&self, tid: usize, v: u64) -> bool;
-    /// Dequeue on behalf of registered thread `tid`.
-    fn dequeue(&self, tid: usize) -> Option<u64>;
+    /// A fresh handle for the calling thread. Queues with a thread bound
+    /// `T` (Listings 4/5 and their compositions) panic past `T`
+    /// registrations, so register once per worker and move the handle.
+    fn register(&self) -> Box<dyn DynHandle + '_>;
+    /// `n` fresh handles, one per worker thread.
+    fn handles(&self, n: usize) -> Vec<Box<dyn DynHandle + '_>> {
+        (0..n).map(|_| self.register()).collect()
+    }
     /// Capacity `C`.
     fn capacity(&self) -> usize;
-    /// Number of pre-registered thread handles.
-    fn threads(&self) -> usize;
     /// Largest valid token.
     fn max_token(&self) -> u64;
     /// Structural footprint (the paper's overhead metric).
@@ -44,44 +47,59 @@ pub trait DynQueue: Send + Sync {
     /// (DESIGN.md §8) — the sequential-spec and strict-FIFO suites skip
     /// those rows and the pool-spec suites cover them instead.
     fn fifo(&self) -> bool;
-    /// Batch enqueue on behalf of thread `tid`: accepts a prefix of `vs`
-    /// (through the queue's native batch path where one exists) and
-    /// returns the count.
-    fn enqueue_many(&self, tid: usize, vs: &[u64]) -> usize;
-    /// Batch dequeue on behalf of thread `tid`: up to `max` elements
-    /// appended to `out`; returns the count.
-    fn dequeue_many(&self, tid: usize, max: usize, out: &mut Vec<u64>) -> usize;
     /// Observability snapshot (DESIGN.md §14): the queue's counter blocks
-    /// flattened to `name → value`. Empty without the `obs` feature (and
-    /// for implementations with no counters of their own).
+    /// flattened to `name → value`. Handles fold their counters in when
+    /// dropped, so the snapshot is exact once every handle is gone. Empty
+    /// without the `obs` feature (and for implementations with no
+    /// counters of their own).
     fn metrics(&self) -> bq_core::MetricsSnapshot {
         bq_core::MetricsSnapshot::new()
     }
 }
 
-struct Registered<Q: ConcurrentQueue + MemoryFootprint> {
+/// A thread-owned access handle from [`DynQueue::register`].
+pub trait DynHandle: Send {
+    /// Enqueue `v`; `false` = full.
+    fn enqueue(&mut self, v: u64) -> bool;
+    /// Dequeue the oldest element, or `None` when empty.
+    fn dequeue(&mut self) -> Option<u64>;
+    /// Batch enqueue: accepts a prefix of `vs` (through the queue's
+    /// native batch path where one exists) and returns the count.
+    fn enqueue_many(&mut self, vs: &[u64]) -> usize {
+        vs.iter().take_while(|&&v| self.enqueue(v)).count()
+    }
+    /// Batch dequeue: up to `max` elements appended to `out`; returns
+    /// the count.
+    fn dequeue_many(&mut self, max: usize, out: &mut Vec<u64>) -> usize {
+        let before = out.len();
+        out.extend(std::iter::from_fn(|| self.dequeue()).take(max));
+        out.len() - before
+    }
+}
+
+impl<Q: ConcurrentQueue> DynHandle for (&Q, Q::Handle) {
+    fn enqueue(&mut self, v: u64) -> bool {
+        self.0.enqueue(&mut self.1, v).is_ok()
+    }
+
+    fn dequeue(&mut self) -> Option<u64> {
+        self.0.dequeue(&mut self.1)
+    }
+
+    fn enqueue_many(&mut self, vs: &[u64]) -> usize {
+        self.0.enqueue_many(&mut self.1, vs)
+    }
+
+    fn dequeue_many(&mut self, max: usize, out: &mut Vec<u64>) -> usize {
+        self.0.dequeue_many(&mut self.1, max, out)
+    }
+}
+
+struct Registered<Q> {
     name: &'static str,
     sound: bool,
     fifo: bool,
     q: Q,
-    handles: Vec<Mutex<Q::Handle>>,
-}
-
-impl<Q: ConcurrentQueue + MemoryFootprint> Registered<Q> {
-    fn new(name: &'static str, sound: bool, q: Q, threads: usize) -> Self {
-        Self::with_fifo(name, sound, true, q, threads)
-    }
-
-    fn with_fifo(name: &'static str, sound: bool, fifo: bool, q: Q, threads: usize) -> Self {
-        let handles = (0..threads).map(|_| Mutex::new(q.register())).collect();
-        Registered {
-            name,
-            sound,
-            fifo,
-            q,
-            handles,
-        }
-    }
 }
 
 impl<Q: ConcurrentQueue + MemoryFootprint> DynQueue for Registered<Q> {
@@ -89,22 +107,12 @@ impl<Q: ConcurrentQueue + MemoryFootprint> DynQueue for Registered<Q> {
         self.name
     }
 
-    fn enqueue(&self, tid: usize, v: u64) -> bool {
-        let mut h = self.handles[tid].lock();
-        self.q.enqueue(&mut h, v).is_ok()
-    }
-
-    fn dequeue(&self, tid: usize) -> Option<u64> {
-        let mut h = self.handles[tid].lock();
-        self.q.dequeue(&mut h)
+    fn register(&self) -> Box<dyn DynHandle + '_> {
+        Box::new((&self.q, self.q.register()))
     }
 
     fn capacity(&self) -> usize {
         self.q.capacity()
-    }
-
-    fn threads(&self) -> usize {
-        self.handles.len()
     }
 
     fn max_token(&self) -> u64 {
@@ -123,22 +131,7 @@ impl<Q: ConcurrentQueue + MemoryFootprint> DynQueue for Registered<Q> {
         self.fifo
     }
 
-    fn enqueue_many(&self, tid: usize, vs: &[u64]) -> usize {
-        let mut h = self.handles[tid].lock();
-        self.q.enqueue_many(&mut h, vs)
-    }
-
-    fn dequeue_many(&self, tid: usize, max: usize, out: &mut Vec<u64>) -> usize {
-        let mut h = self.handles[tid].lock();
-        self.q.dequeue_many(&mut h, max, out)
-    }
-
     fn metrics(&self) -> bq_core::MetricsSnapshot {
-        // Fold every slot's handle-local deltas in first: the dyn
-        // interface owns the handles, so callers cannot flush them.
-        for h in self.handles.iter() {
-            self.q.flush_metrics(&mut h.lock());
-        }
         self.q.metrics()
     }
 }
@@ -146,18 +139,17 @@ impl<Q: ConcurrentQueue + MemoryFootprint> DynQueue for Registered<Q> {
 /// The byte ring behind the registry interface: `u64` tokens travel as
 /// 8-byte little-endian messages (16-byte records: length header + body),
 /// so the variable-length data path can sit in the same tables as the
-/// slot queues. The ring itself is SPSC; the registry's per-endpoint
-/// mutexes serialize the benchmark threads onto the two roles — the same
-/// uniform constant every `Registered` queue pays per handle.
+/// slot queues. The ring itself is SPSC, so its two endpoints sit behind
+/// mutexes that serialize any number of registered handles onto the two
+/// roles — the only lock in the registry.
 struct ByteTokenQueue {
     prod: Mutex<ByteProducer>,
     cons: Mutex<ByteConsumer>,
     cap: usize,
-    threads: usize,
 }
 
 impl ByteTokenQueue {
-    fn new(c: usize, threads: usize) -> Self {
+    fn new(c: usize) -> Self {
         // Two records must fit for the wrap-pad progress bound; each
         // token record is exactly 16 bytes, so 16·C bytes = C tokens.
         let c = c.max(2);
@@ -166,8 +158,21 @@ impl ByteTokenQueue {
             prod: Mutex::new(prod),
             cons: Mutex::new(cons),
             cap: c,
-            threads,
         }
+    }
+}
+
+impl DynHandle for &ByteTokenQueue {
+    fn enqueue(&mut self, v: u64) -> bool {
+        self.prod.lock().push(&v.to_le_bytes())
+    }
+
+    fn dequeue(&mut self) -> Option<u64> {
+        let mut cons = self.cons.lock();
+        let g = cons.try_read()?;
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&g);
+        Some(u64::from_le_bytes(b))
     }
 }
 
@@ -176,24 +181,12 @@ impl DynQueue for ByteTokenQueue {
         "byte-ring"
     }
 
-    fn enqueue(&self, _tid: usize, v: u64) -> bool {
-        self.prod.lock().push(&v.to_le_bytes())
-    }
-
-    fn dequeue(&self, _tid: usize) -> Option<u64> {
-        let mut cons = self.cons.lock();
-        let g = cons.try_read()?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&g);
-        Some(u64::from_le_bytes(b))
+    fn register(&self) -> Box<dyn DynHandle + '_> {
+        Box::new(self)
     }
 
     fn capacity(&self) -> usize {
         self.cap
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
     }
 
     fn max_token(&self) -> u64 {
@@ -210,31 +203,6 @@ impl DynQueue for ByteTokenQueue {
 
     fn fifo(&self) -> bool {
         true
-    }
-
-    fn enqueue_many(&self, _tid: usize, vs: &[u64]) -> usize {
-        let mut prod = self.prod.lock();
-        let mut n = 0;
-        for v in vs {
-            if !prod.push(&v.to_le_bytes()) {
-                break;
-            }
-            n += 1;
-        }
-        n
-    }
-
-    fn dequeue_many(&self, _tid: usize, max: usize, out: &mut Vec<u64>) -> usize {
-        let mut cons = self.cons.lock();
-        let mut n = 0;
-        while n < max {
-            let Some(g) = cons.try_read() else { break };
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&g);
-            out.push(u64::from_le_bytes(b));
-            n += 1;
-        }
-        n
     }
 
     fn metrics(&self) -> bq_core::MetricsSnapshot {
@@ -273,8 +241,6 @@ pub enum QueueKind {
     TwoNull,
     /// Mutex ring.
     MutexRing,
-    /// crossbeam ArrayQueue.
-    Crossbeam,
     /// Scale layer: 4 shards of Listing 5 — Θ(S·T) overhead, per-shard
     /// FIFO (DESIGN.md §8).
     ShardedOptimal,
@@ -288,7 +254,7 @@ pub enum QueueKind {
     Shm,
     /// Variable-length byte ring (`bq_core::bytering`), tokens as 8-byte
     /// messages through the zero-copy grant machinery. SPSC by contract;
-    /// registered behind per-role mutexes so the MPMC drivers can run it
+    /// its endpoints sit behind per-role mutexes so the MPMC drivers can run it
     /// (E15 measures the unserialized payload path directly).
     ByteRing,
 }
@@ -307,7 +273,6 @@ pub const ALL_KINDS: &[QueueKind] = &[
     QueueKind::Scq,
     QueueKind::TwoNull,
     QueueKind::MutexRing,
-    QueueKind::Crossbeam,
     QueueKind::ShardedOptimal,
     QueueKind::ShardedSegment,
     QueueKind::Shm,
@@ -334,7 +299,6 @@ impl QueueKind {
             QueueKind::Scq => "scq-style",
             QueueKind::TwoNull => "tsigas-zhang-2null",
             QueueKind::MutexRing => "mutex-ring",
-            QueueKind::Crossbeam => "crossbeam-array",
             QueueKind::ShardedOptimal => "sharded4-optimal",
             QueueKind::ShardedSegment => "sharded4-segment",
             QueueKind::Shm => "shm-mpmc",
@@ -358,7 +322,6 @@ impl QueueKind {
             QueueKind::Scq => "Θ(C)",
             QueueKind::TwoNull => "Θ(1) [unsound]",
             QueueKind::MutexRing => "Θ(1) [blocking]",
-            QueueKind::Crossbeam => "Θ(C)",
             QueueKind::ShardedOptimal => "Θ(S·T)",
             QueueKind::ShardedSegment => "Θ(C/K + S·T·K)",
             QueueKind::Shm => "Θ(C) [multi-proc]",
@@ -366,125 +329,92 @@ impl QueueKind {
         }
     }
 
-    /// Instantiate with capacity `c` and thread bound `t`.
+    /// Instantiate with capacity `c` and thread bound `t`. No handle is
+    /// registered: callers take one per worker with
+    /// [`DynQueue::register`], at most `t` in all.
     pub fn build(self, c: usize, t: usize) -> Box<dyn DynQueue> {
+        // The unsound models are included to *show* the lower bound; the
+        // sharded kinds relax global FIFO to per-shard FIFO (DESIGN.md §8).
+        let name = self.name();
+        let sound = !matches!(self, QueueKind::Naive | QueueKind::TwoNull);
+        let fifo = !matches!(self, QueueKind::ShardedOptimal | QueueKind::ShardedSegment);
         match self {
-            QueueKind::Naive => Box::new(Registered::new(
-                self.name(),
-                false,
-                NaiveQueue::with_capacity(c),
-                t,
-            )),
-            QueueKind::Segment => Box::new(Registered::new(
-                self.name(),
-                true,
-                SegmentQueue::with_capacity(c),
-                t,
-            )),
-            QueueKind::SegmentPooled => Box::new(Registered::new(
-                self.name(),
-                true,
+            QueueKind::Naive => registered(name, sound, fifo, NaiveQueue::with_capacity(c)),
+            QueueKind::Segment => registered(name, sound, fifo, SegmentQueue::with_capacity(c)),
+            QueueKind::SegmentPooled => registered(
+                name,
+                sound,
+                fifo,
                 SegmentQueue::with_pooled_segments(c, (c as f64).sqrt().round().max(1.0) as usize),
-                t,
-            )),
-            QueueKind::Distinct => Box::new(Registered::new(
-                self.name(),
-                true,
-                DistinctQueue::with_capacity(c),
-                t,
-            )),
-            QueueKind::LlSc => Box::new(Registered::new(
-                self.name(),
-                true,
-                LlScQueue::with_capacity(c),
-                t,
-            )),
-            QueueKind::Dcss => Box::new(Registered::new(
-                self.name(),
-                true,
+            ),
+            QueueKind::Distinct => registered(name, sound, fifo, DistinctQueue::with_capacity(c)),
+            QueueKind::LlSc => registered(name, sound, fifo, LlScQueue::with_capacity(c)),
+            QueueKind::Dcss => registered(
+                name,
+                sound,
+                fifo,
                 DcssQueue::with_capacity_and_threads(c, t),
-                t,
-            )),
-            QueueKind::Optimal => Box::new(Registered::new(
-                self.name(),
-                true,
+            ),
+            QueueKind::Optimal => registered(
+                name,
+                sound,
+                fifo,
                 OptimalQueue::with_capacity_and_threads(c, t),
-                t,
-            )),
-            QueueKind::Ms => Box::new(Registered::new(
-                self.name(),
-                true,
-                MsQueue::with_capacity(c),
-                t,
-            )),
-            QueueKind::Vyukov => Box::new(Registered::new(
-                self.name(),
-                true,
-                VyukovQueue::with_capacity(c),
-                t,
-            )),
-            QueueKind::Scq => Box::new(Registered::new(
-                self.name(),
-                true,
-                ScqStyleQueue::with_capacity(c),
-                t,
-            )),
-            QueueKind::TwoNull => Box::new(Registered::new(
-                self.name(),
-                false,
-                TwoNullQueue::with_capacity(c),
-                t,
-            )),
-            QueueKind::MutexRing => Box::new(Registered::new(
-                self.name(),
-                true,
-                MutexRingQueue::with_capacity(c),
-                t,
-            )),
-            QueueKind::Crossbeam => Box::new(Registered::new(
-                self.name(),
-                true,
-                CrossbeamArrayQueue::with_capacity(c),
-                t,
-            )),
-            QueueKind::ShardedOptimal => Box::new(Registered::with_fifo(
-                self.name(),
-                true,
-                false, // per-shard FIFO only
+            ),
+            QueueKind::Ms => registered(name, sound, fifo, MsQueue::with_capacity(c)),
+            QueueKind::Vyukov => registered(name, sound, fifo, VyukovQueue::with_capacity(c)),
+            QueueKind::Scq => registered(name, sound, fifo, ScqStyleQueue::with_capacity(c)),
+            QueueKind::TwoNull => registered(name, sound, fifo, TwoNullQueue::with_capacity(c)),
+            QueueKind::MutexRing => registered(name, sound, fifo, MutexRingQueue::with_capacity(c)),
+            QueueKind::ShardedOptimal => registered(
+                name,
+                sound,
+                fifo,
                 ShardedQueue::<OptimalQueue>::optimal(c, DEFAULT_SHARDS, t),
-                t,
-            )),
-            QueueKind::ShardedSegment => Box::new(Registered::with_fifo(
-                self.name(),
-                true,
-                false,
+            ),
+            QueueKind::ShardedSegment => registered(
+                name,
+                sound,
+                fifo,
                 ShardedQueue::<SegmentQueue>::segmented(c, DEFAULT_SHARDS),
-                t,
-            )),
-            QueueKind::Shm => Box::new(Registered::new(
-                self.name(),
-                true,
-                // The sequenced-ring protocol needs two slots to tell
-                // full from empty; the registry's smallest sweeps use 1.
+            ),
+            // The sequenced-ring protocol needs two slots to tell full
+            // from empty; the registry's smallest sweeps use 1.
+            QueueKind::Shm => registered(
+                name,
+                sound,
+                fifo,
                 ShmQueue::<u64>::create_anon(c.max(2)).expect("anonymous shm segment"),
-                t,
-            )),
-            QueueKind::ByteRing => Box::new(ByteTokenQueue::new(c, t)),
+            ),
+            QueueKind::ByteRing => Box::new(ByteTokenQueue::new(c)),
         }
     }
+}
+
+fn registered<Q: ConcurrentQueue + MemoryFootprint + 'static>(
+    name: &'static str,
+    sound: bool,
+    fifo: bool,
+    q: Q,
+) -> Box<dyn DynQueue> {
+    Box::new(Registered {
+        name,
+        sound,
+        fifo,
+        q,
+    })
 }
 
 /// Build a `ShardedQueue<OptimalQueue>` with an explicit shard count `s`
 /// behind the `DynQueue` interface — the shard/batch sweep binary (E11)
 /// varies `S` beyond the registry's fixed default.
 pub fn sharded_optimal(c: usize, s: usize, t: usize) -> Box<dyn DynQueue> {
-    Box::new(Registered::with_fifo(
+    registered(
         "sharded-optimal",
         true,
         s <= 1, // a single shard degenerates to the plain FIFO queue
         ShardedQueue::<OptimalQueue>::optimal(c, s, t),
-        t,
-    ))
+    )
 }
 
 /// Build every implementation at `(c, t)`.
@@ -504,11 +434,11 @@ mod tests {
     #[test]
     fn every_kind_builds_and_round_trips() {
         for q in all_queues(16, 2) {
-            assert!(q.enqueue(0, 1), "{} rejects a first enqueue", q.name());
-            assert_eq!(q.dequeue(1), Some(1), "{} loses the element", q.name());
-            assert_eq!(q.dequeue(0), None, "{} not empty after drain", q.name());
+            let (mut a, mut b) = (q.register(), q.register());
+            assert!(a.enqueue(1), "{} rejects a first enqueue", q.name());
+            assert_eq!(b.dequeue(), Some(1), "{} loses the element", q.name());
+            assert_eq!(a.dequeue(), None, "{} not empty after drain", q.name());
             assert_eq!(q.capacity(), 16);
-            assert_eq!(q.threads(), 2);
         }
     }
 
@@ -536,13 +466,14 @@ mod tests {
     #[test]
     fn every_kind_batch_round_trips() {
         for q in all_queues(16, 2) {
+            let (mut a, mut b) = (q.register(), q.register());
             let vs: Vec<u64> = (1..=10).collect();
-            assert_eq!(q.enqueue_many(0, &vs), 10, "{}", q.name());
+            assert_eq!(a.enqueue_many(&vs), 10, "{}", q.name());
             let mut out = Vec::new();
-            assert_eq!(q.dequeue_many(1, 10, &mut out), 10, "{}", q.name());
+            assert_eq!(b.dequeue_many(10, &mut out), 10, "{}", q.name());
             out.sort_unstable();
             assert_eq!(out, vs, "{}: batch conservation", q.name());
-            assert_eq!(q.dequeue_many(0, 1, &mut out), 0, "{}", q.name());
+            assert_eq!(a.dequeue_many(1, &mut out), 0, "{}", q.name());
         }
     }
 
@@ -563,8 +494,9 @@ mod tests {
             let q = sharded_optimal(16, s, 2);
             assert_eq!(q.capacity(), 16);
             assert_eq!(q.fifo(), s <= 1);
-            assert!(q.enqueue(0, 5));
-            assert_eq!(q.dequeue(1), Some(5));
+            let (mut a, mut b) = (q.register(), q.register());
+            assert!(a.enqueue(5));
+            assert_eq!(b.dequeue(), Some(5));
         }
     }
 
@@ -573,8 +505,11 @@ mod tests {
         // The instrumented facades report through `DynQueue::metrics`;
         // with `obs` off every snapshot is empty (the zero-cost contract).
         let q = QueueKind::Optimal.build(8, 2);
-        assert!(q.enqueue(0, 1));
-        assert_eq!(q.dequeue(1), Some(1));
+        {
+            let (mut a, mut b) = (q.register(), q.register());
+            assert!(a.enqueue(1));
+            assert_eq!(b.dequeue(), Some(1));
+        } // dropping the handles folds their counters in
         let snap = q.metrics();
         if cfg!(feature = "obs") {
             assert_eq!(snap.get("enq_success"), Some(1), "{snap}");
@@ -584,7 +519,7 @@ mod tests {
         }
         // And kinds with no counters of their own stay harmlessly empty.
         let ms = QueueKind::Ms.build(8, 1);
-        ms.enqueue(0, 9);
+        ms.register().enqueue(9);
         assert!(ms.metrics().is_empty());
     }
 
@@ -592,7 +527,7 @@ mod tests {
     fn footprints_are_positive() {
         for q in all_queues(64, 2) {
             // MS stores per-element, so occupy one slot before measuring.
-            q.enqueue(0, 1);
+            q.register().enqueue(1);
             let f = q.footprint();
             assert!(f.element_bytes > 0, "{}", q.name());
             assert!(f.overhead_bytes() > 0, "{}", q.name());

@@ -16,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use crate::registry::DynQueue;
+use crate::registry::{DynHandle, DynQueue};
 
 /// Result of one workload run.
 #[derive(Debug, Clone, Copy)]
@@ -34,29 +34,28 @@ impl WorkloadResult {
     }
 }
 
-/// Mixed enqueue/dequeue pairs: `threads` workers each perform
-/// `ops_per_thread` enqueue+dequeue pairs on a queue pre-filled to half
-/// capacity. Returns aggregate throughput.
-pub fn pairs_throughput(q: &dyn DynQueue, threads: usize, ops_per_thread: u64) -> WorkloadResult {
-    assert!(threads <= q.threads());
-    // Pre-fill to C/2 so both operations usually succeed.
-    for i in 0..(q.capacity() / 2) as u64 {
-        assert!(q.enqueue(0, 1 + i), "pre-fill failed");
-    }
+/// Mixed enqueue/dequeue pairs: one worker per handle in `hs`, each
+/// performing `ops_per_thread` enqueue+dequeue pairs on `q` pre-filled to
+/// half capacity. Returns aggregate throughput.
+pub fn pairs_throughput(
+    q: &dyn DynQueue,
+    hs: &mut [Box<dyn DynHandle + '_>],
+    ops_per_thread: u64,
+) -> WorkloadResult {
+    prefill(q, hs);
     let token_base = AtomicU64::new(1_000_000);
     let start = Instant::now();
     std::thread::scope(|s| {
-        for tid in 0..threads {
+        for h in hs.iter_mut() {
             let token_base = &token_base;
-            let q = &*q;
             s.spawn(move || {
                 for _ in 0..ops_per_thread {
                     // Fresh tokens keep the distinct-elements queues honest.
                     let v = token_base.fetch_add(1, Ordering::Relaxed);
-                    while !q.enqueue(tid, v) {
+                    while !h.enqueue(v) {
                         std::thread::yield_now();
                     }
-                    while q.dequeue(tid).is_none() {
+                    while h.dequeue().is_none() {
                         std::thread::yield_now();
                     }
                 }
@@ -64,8 +63,16 @@ pub fn pairs_throughput(q: &dyn DynQueue, threads: usize, ops_per_thread: u64) -
         }
     });
     WorkloadResult {
-        ops: 2 * threads as u64 * ops_per_thread,
+        ops: 2 * hs.len() as u64 * ops_per_thread,
         secs: start.elapsed().as_secs_f64(),
+    }
+}
+
+/// Pre-fill `q` to C/2 through the first worker's handle, so both
+/// operations of a pair usually succeed.
+fn prefill(q: &dyn DynQueue, hs: &mut [Box<dyn DynHandle + '_>]) {
+    for i in 0..(q.capacity() / 2) as u64 {
+        assert!(hs[0].enqueue(1 + i), "pre-fill failed");
     }
 }
 
@@ -74,15 +81,15 @@ pub fn pairs_throughput(q: &dyn DynQueue, threads: usize, ops_per_thread: u64) -
 /// `rounds_per_thread` iterations of `enqueue_many(batch)` followed by
 /// `dequeue_many(batch)` on a half-full queue. With `batch == 1` this
 /// degenerates to the single-element path (same call overhead shape), so
-/// `batched_pairs_throughput(q, t, r, b)` vs `…(q, t, r·b, 1)` isolates
+/// `batched_pairs_throughput(q, hs, r, b)` vs `…(q, hs, r·b, 1)` isolates
 /// the amortization win of batching (experiment E11).
 pub fn batched_pairs_throughput(
     q: &dyn DynQueue,
-    threads: usize,
+    hs: &mut [Box<dyn DynHandle + '_>],
     rounds_per_thread: u64,
     batch: usize,
 ) -> WorkloadResult {
-    assert!(threads <= q.threads());
+    let threads = hs.len();
     assert!(batch > 0, "batch must be positive");
     // Every worker must be able to finish its in-flight batch without any
     // other worker dequeuing, or the workload can wedge with all workers
@@ -91,13 +98,10 @@ pub fn batched_pairs_throughput(
         threads * batch <= q.capacity() - q.capacity() / 2,
         "threads × batch must fit in the post-prefill free space"
     );
-    for i in 0..(q.capacity() / 2) as u64 {
-        assert!(q.enqueue(0, 1 + i), "pre-fill failed");
-    }
+    prefill(q, hs);
     let start = Instant::now();
     std::thread::scope(|s| {
-        for tid in 0..threads {
-            let q = &*q;
+        for (tid, h) in hs.iter_mut().enumerate() {
             s.spawn(move || {
                 // Token generation and buffers live outside the measured
                 // per-element path: a per-thread counter and reused
@@ -114,7 +118,7 @@ pub fn batched_pairs_throughput(
                     }
                     let mut sent = 0;
                     while sent < batch {
-                        let n = q.enqueue_many(tid, &vs[sent..]);
+                        let n = h.enqueue_many(&vs[sent..]);
                         sent += n;
                         if n == 0 {
                             std::thread::yield_now();
@@ -123,7 +127,7 @@ pub fn batched_pairs_throughput(
                     let mut got = 0;
                     while got < batch {
                         buf.clear();
-                        let n = q.dequeue_many(tid, batch - got, &mut buf);
+                        let n = h.dequeue_many(batch - got, &mut buf);
                         got += n;
                         if n == 0 {
                             std::thread::yield_now();
@@ -161,10 +165,10 @@ pub fn print_batch_win_table(
     );
     for kind in kinds {
         let q1 = kind.build(c, threads);
-        let single = batched_pairs_throughput(&*q1, threads, elems_per_thread, 1);
+        let single = batched_pairs_throughput(&*q1, &mut q1.handles(threads), elems_per_thread, 1);
         let qb = kind.build(c, threads);
-        let batched =
-            batched_pairs_throughput(&*qb, threads, elems_per_thread / batch as u64, batch);
+        let rounds = elems_per_thread / batch as u64;
+        let batched = batched_pairs_throughput(&*qb, &mut qb.handles(threads), rounds, batch);
         println!(
             "{:<24} {:>12.3} {:>12.3} {:>8.2}x",
             kind.name(),
@@ -175,39 +179,35 @@ pub fn print_batch_win_table(
     }
 }
 
-/// Producer/consumer transfer: `pairs` producers enqueue `items_per_producer`
-/// fresh tokens each while `pairs` consumers drain until every item has been
-/// observed.
+/// Producer/consumer transfer: the first half of `hs` produce
+/// `items_per_producer` fresh tokens each while the second half drain
+/// until every item has been observed.
 pub fn producer_consumer_throughput(
-    q: &dyn DynQueue,
-    pairs: usize,
+    hs: &mut [Box<dyn DynHandle + '_>],
     items_per_producer: u64,
 ) -> WorkloadResult {
-    assert!(2 * pairs <= q.threads());
-    let total = pairs as u64 * items_per_producer;
+    let (producers, consumers) = hs.split_at_mut(hs.len() / 2);
+    let total = producers.len() as u64 * items_per_producer;
     let consumed = AtomicU64::new(0);
     let start = Instant::now();
     std::thread::scope(|s| {
-        for p in 0..pairs {
-            let q = &*q;
+        for (p, h) in producers.iter_mut().enumerate() {
             s.spawn(move || {
                 let base = 1 + p as u64 * items_per_producer;
                 for i in 0..items_per_producer {
-                    while !q.enqueue(p, base + i) {
+                    while !h.enqueue(base + i) {
                         std::thread::yield_now();
                     }
                 }
             });
         }
-        for c in 0..pairs {
-            let q = &*q;
+        for h in consumers.iter_mut() {
             let consumed = &consumed;
             s.spawn(move || {
-                let tid = pairs + c;
                 // Exit once every produced item has been consumed by
                 // someone; until then, keep draining.
                 while consumed.load(Ordering::Relaxed) < total {
-                    if q.dequeue(tid).is_some() {
+                    if h.dequeue().is_some() {
                         consumed.fetch_add(1, Ordering::Relaxed);
                     } else {
                         std::thread::yield_now();
@@ -234,7 +234,7 @@ mod tests {
             if !q.sound() {
                 continue; // the unsound models may corrupt under contention
             }
-            let r = pairs_throughput(&*q, 2, 200);
+            let r = pairs_throughput(&*q, &mut q.handles(2), 200);
             assert_eq!(r.ops, 800);
             assert!(r.secs > 0.0);
             assert!(r.mops() > 0.0);
@@ -248,39 +248,42 @@ mod tests {
             if !q.sound() {
                 continue;
             }
-            let r = batched_pairs_throughput(&*q, 2, 50, 4);
+            let mut hs = q.handles(2);
+            let r = batched_pairs_throughput(&*q, &mut hs, 50, 4);
             assert_eq!(r.ops, 800, "{}", q.name());
             assert!(r.mops() > 0.0);
             // Pairs preserve the pre-fill level.
             let mut out = Vec::new();
-            assert_eq!(q.dequeue_many(0, 16, &mut out), 8, "{}", q.name());
+            assert_eq!(hs[0].dequeue_many(16, &mut out), 8, "{}", q.name());
         }
     }
 
     #[test]
     fn batched_pairs_batch_one_equals_single_path_ops() {
         let q = crate::registry::QueueKind::ShardedOptimal.build(16, 2);
-        let r = batched_pairs_throughput(&*q, 1, 100, 1);
+        let r = batched_pairs_throughput(&*q, &mut q.handles(1), 100, 1);
         assert_eq!(r.ops, 200);
     }
 
     #[test]
     fn producer_consumer_conserves_count() {
         let q = QueueKind::Optimal.build(8, 4);
-        let r = producer_consumer_throughput(&*q, 2, 500);
+        let mut hs = q.handles(4);
+        let r = producer_consumer_throughput(&mut hs, 500);
         assert_eq!(r.ops, 2000);
         // Queue drained exactly.
-        assert_eq!(q.dequeue(0), None);
+        assert_eq!(hs[0].dequeue(), None);
     }
 
     #[test]
     fn pairs_leaves_queue_at_prefill_level() {
         let q = QueueKind::Vyukov.build(16, 2);
-        let r = pairs_throughput(&*q, 1, 100);
+        let mut hs = q.handles(1);
+        let r = pairs_throughput(&*q, &mut hs, 100);
         assert_eq!(r.ops, 200);
         // Pre-fill was C/2 = 8; pairs preserve the level.
         let mut n = 0;
-        while q.dequeue(0).is_some() {
+        while hs[0].dequeue().is_some() {
             n += 1;
         }
         assert_eq!(n, 8);

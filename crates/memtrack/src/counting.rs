@@ -6,11 +6,15 @@
 //! binary, then wrap queue construction in an [`AllocScope`] to obtain the
 //! exact number of heap bytes the queue pinned down.
 //!
-//! The counters use relaxed atomics: they are statistics, not
+//! The global counters use relaxed atomics: they are statistics, not
 //! synchronization. `peak_bytes` is maintained with a CAS loop so it is exact
-//! even under concurrent allocation.
+//! even under concurrent allocation. Every allocation and free is also
+//! counted against the calling thread, and [`AllocScope`] reads those
+//! per-thread counts, so other threads' heap traffic (a test harness, a
+//! concurrent test) never lands inside a scope.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
@@ -18,6 +22,24 @@ static FREED_BYTES: AtomicUsize = AtomicUsize::new(0);
 static ALLOCATED_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 static FREED_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 static PEAK_LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    // Const-initialized `Cell`s with no destructor: reading them never
+    // allocates (so the allocator may bump them) and they stay usable
+    // while a thread's other TLS is torn down.
+    static THREAD_ALLOCATED_BYTES: Cell<usize> = const { Cell::new(0) };
+    static THREAD_FREED_BYTES: Cell<usize> = const { Cell::new(0) };
+    static THREAD_ALLOCATED_BLOCKS: Cell<usize> = const { Cell::new(0) };
+    static THREAD_FREED_BLOCKS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<usize>>, by: usize) {
+    let _ = counter.try_with(|c| c.set(c.get().wrapping_add(by)));
+}
+
+fn read(counter: &'static std::thread::LocalKey<Cell<usize>>) -> usize {
+    counter.try_with(Cell::get).unwrap_or(0)
+}
 
 /// A drop-in replacement for the system allocator that counts every
 /// allocation. Install with:
@@ -32,6 +54,8 @@ impl TrackingAlloc {
     fn on_alloc(size: usize) {
         ALLOCATED_BYTES.fetch_add(size, Ordering::Relaxed);
         ALLOCATED_BLOCKS.fetch_add(1, Ordering::Relaxed);
+        bump(&THREAD_ALLOCATED_BYTES, size);
+        bump(&THREAD_ALLOCATED_BLOCKS, 1);
         let live = live_bytes();
         let mut peak = PEAK_LIVE_BYTES.load(Ordering::Relaxed);
         while live > peak {
@@ -50,6 +74,8 @@ impl TrackingAlloc {
     fn on_dealloc(size: usize) {
         FREED_BYTES.fetch_add(size, Ordering::Relaxed);
         FREED_BLOCKS.fetch_add(1, Ordering::Relaxed);
+        bump(&THREAD_FREED_BYTES, size);
+        bump(&THREAD_FREED_BLOCKS, 1);
     }
 }
 
@@ -140,9 +166,25 @@ impl AllocStats {
     pub fn live_blocks(&self) -> usize {
         self.allocated_blocks.saturating_sub(self.freed_blocks)
     }
+
+    /// The calling thread's own counts: what it allocated and freed,
+    /// whoever allocated what it freed. `peak_live_bytes` stays global.
+    fn this_thread() -> Self {
+        AllocStats {
+            allocated_bytes: read(&THREAD_ALLOCATED_BYTES),
+            freed_bytes: read(&THREAD_FREED_BYTES),
+            allocated_blocks: read(&THREAD_ALLOCATED_BLOCKS),
+            freed_blocks: read(&THREAD_FREED_BLOCKS),
+            peak_live_bytes: PEAK_LIVE_BYTES.load(Ordering::Relaxed),
+        }
+    }
 }
 
-/// Measures the heap delta across a region of code.
+/// Measures the heap delta across a region of code **on the calling
+/// thread**: it reads the per-thread counts, so allocations and frees by
+/// other threads never show up in a scope, and allocations the region
+/// leaves to other threads are not seen either. Measure construction on
+/// the thread that builds.
 ///
 /// Typical use in an overhead experiment:
 ///
@@ -157,35 +199,45 @@ pub struct AllocScope {
 }
 
 impl AllocScope {
-    /// Start measuring from the current counter values.
+    /// Start measuring from the calling thread's current counts.
     pub fn begin() -> Self {
         AllocScope {
-            start: AllocStats::snapshot(),
+            start: AllocStats::this_thread(),
+        }
+    }
+
+    /// The calling thread's counts since `begin`.
+    fn delta(&self) -> AllocStats {
+        let now = AllocStats::this_thread();
+        AllocStats {
+            allocated_bytes: now.allocated_bytes.wrapping_sub(self.start.allocated_bytes),
+            freed_bytes: now.freed_bytes.wrapping_sub(self.start.freed_bytes),
+            allocated_blocks: now
+                .allocated_blocks
+                .wrapping_sub(self.start.allocated_blocks),
+            freed_blocks: now.freed_blocks.wrapping_sub(self.start.freed_blocks),
+            peak_live_bytes: now.peak_live_bytes,
         }
     }
 
     /// Bytes that became live since `begin` and are still live.
     pub fn live_delta(&self) -> usize {
-        AllocStats::snapshot()
-            .live_bytes()
-            .saturating_sub(self.start.live_bytes())
+        self.delta().live_bytes()
     }
 
     /// Blocks that became live since `begin` and are still live.
     pub fn live_blocks_delta(&self) -> usize {
-        AllocStats::snapshot()
-            .live_blocks()
-            .saturating_sub(self.start.live_blocks())
+        self.delta().live_blocks()
     }
 
     /// Total bytes allocated (including already freed ones) since `begin`.
     pub fn allocated_delta(&self) -> usize {
-        AllocStats::snapshot().allocated_bytes - self.start.allocated_bytes
+        self.delta().allocated_bytes
     }
 
     /// Total allocation calls since `begin`.
     pub fn allocated_blocks_delta(&self) -> usize {
-        AllocStats::snapshot().allocated_blocks - self.start.allocated_blocks
+        self.delta().allocated_blocks
     }
 }
 

@@ -8,7 +8,7 @@
 
 use bq_memtrack::report::render_breakdown;
 use bq_memtrack::{AllocScope, OverheadRow, TrackingAlloc};
-use membq::bench_registry::{QueueKind, ALL_KINDS};
+use membq::bench_registry::ALL_KINDS;
 
 #[global_allocator]
 static GLOBAL: TrackingAlloc = TrackingAlloc;
@@ -44,6 +44,4 @@ fn main() {
          (mutex), assumes distinctness (Listing 2), assumes LL/SC hardware\n\
          (Listing 3), or is demonstrably non-linearizable (naive, two-null)."
     );
-
-    let _ = QueueKind::Optimal; // re-exported for doc discoverability
 }

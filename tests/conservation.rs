@@ -7,9 +7,8 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use membq::bench_registry::{DynQueue, QueueKind, ALL_KINDS};
+use membq::bench_registry::{DynHandle, DynQueue, QueueKind, ALL_KINDS};
 
 /// Exactly-once delivery over the consumers' combined streams.
 fn check_exactly_once(outputs: &[Vec<u64>], total: u64, name: &str) {
@@ -41,53 +40,77 @@ fn check_per_producer_fifo(outputs: &[Vec<u64>], producers: usize, per: u64, nam
     }
 }
 
-fn mpmc_conservation(q: Arc<Box<dyn DynQueue>>, producers: usize, consumers: usize, per: u64) {
-    let total = per * producers as u64;
-    let consumed = Arc::new(AtomicU64::new(0));
-    let mut outputs: Vec<Vec<u64>> = Vec::new();
-
+/// Run `producers` producer threads against consumer threads that own
+/// the handles in `consumers`; each consumer drains with `take` (which
+/// appends to its output and returns the count) until every token has
+/// arrived. Returns the consumers' output streams.
+fn run_mpmc(
+    producers: Vec<Box<dyn DynHandle + '_>>,
+    consumers: &mut [Box<dyn DynHandle + '_>],
+    total: u64,
+    produce: impl Fn(usize, &mut dyn DynHandle) + Sync,
+    take: impl Fn(&mut dyn DynHandle, &mut Vec<u64>) -> usize + Sync,
+) -> Vec<Vec<u64>> {
+    let consumed = AtomicU64::new(0);
+    let (consumed, produce, take) = (&consumed, &produce, &take);
     std::thread::scope(|s| {
-        for p in 0..producers {
-            let q = Arc::clone(&q);
-            s.spawn(move || {
-                let base = 1 + p as u64 * per;
-                for i in 0..per {
-                    while !q.enqueue(p, base + i) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
+        for (p, mut h) in producers.into_iter().enumerate() {
+            s.spawn(move || produce(p, &mut *h));
         }
-        let mut handles = Vec::new();
-        for c in 0..consumers {
-            let q = Arc::clone(&q);
-            let consumed = Arc::clone(&consumed);
-            handles.push(s.spawn(move || {
-                let tid = producers + c;
-                let mut got = Vec::new();
-                loop {
-                    let done = consumed.load(Ordering::Relaxed) >= total;
-                    match q.dequeue(tid) {
-                        Some(v) => {
-                            consumed.fetch_add(1, Ordering::Relaxed);
-                            got.push(v);
+        let workers: Vec<_> = consumers
+            .iter_mut()
+            .map(|h| {
+                s.spawn(move || {
+                    let mut got = Vec::new();
+                    loop {
+                        let done = consumed.load(Ordering::Relaxed) >= total;
+                        let n = take(&mut **h, &mut got);
+                        if n > 0 {
+                            consumed.fetch_add(n as u64, Ordering::Relaxed);
+                        } else if done {
+                            break;
+                        } else {
+                            std::thread::yield_now();
                         }
-                        None if done => break,
-                        None => std::thread::yield_now(),
                     }
+                    got
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    })
+}
+
+fn mpmc_conservation(q: &dyn DynQueue, producers: usize, consumers: usize, per: u64) {
+    let total = per * producers as u64;
+    let mut cons = q.handles(consumers);
+    let outputs = run_mpmc(
+        q.handles(producers),
+        &mut cons,
+        total,
+        |p, h| {
+            let base = 1 + p as u64 * per;
+            for i in 0..per {
+                while !h.enqueue(base + i) {
+                    std::thread::yield_now();
                 }
-                got
-            }));
-        }
-        outputs = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    });
+            }
+        },
+        |h, got| match h.dequeue() {
+            Some(v) => {
+                got.push(v);
+                1
+            }
+            None => 0,
+        },
+    );
 
     check_exactly_once(&outputs, total, q.name());
     if q.fifo() {
         check_per_producer_fifo(&outputs, producers, per, q.name());
     }
     assert_eq!(
-        q.dequeue(0),
+        cons[0].dequeue(),
         None,
         "{}: residue after conservation",
         q.name()
@@ -101,7 +124,7 @@ fn mpmc_conservation_all_sound_queues() {
         if !q.sound() {
             continue;
         }
-        mpmc_conservation(Arc::new(q), 2, 2, 2_000);
+        mpmc_conservation(&*q, 2, 2, 2_000);
     }
 }
 
@@ -120,7 +143,7 @@ fn mpmc_conservation_tiny_capacity_high_churn() {
         QueueKind::ShardedSegment,
     ] {
         let q = kind.build(2, 4);
-        mpmc_conservation(Arc::new(q), 2, 2, 1_500);
+        mpmc_conservation(&*q, 2, 2, 1_500);
     }
 }
 
@@ -131,20 +154,19 @@ fn spsc_strict_fifo_all_sound_queues() {
         if !q.sound() || !q.fifo() {
             continue; // sharded kinds: per-shard FIFO only (DESIGN.md §8)
         }
-        let q = Arc::new(q);
+        let (mut prod, mut cons) = (q.register(), q.register());
         let n = 4_000u64;
         std::thread::scope(|s| {
-            let qp = Arc::clone(&q);
             s.spawn(move || {
                 for v in 1..=n {
-                    while !qp.enqueue(0, v) {
+                    while !prod.enqueue(v) {
                         std::thread::yield_now();
                     }
                 }
             });
             let mut expect = 1u64;
             while expect <= n {
-                match q.dequeue(1) {
+                match cons.dequeue() {
                     Some(v) => {
                         assert_eq!(v, expect, "{}: SPSC order broken", q.name());
                         expect += 1;
@@ -161,62 +183,45 @@ fn spsc_strict_fifo_all_sound_queues() {
 /// (segment runs, slot runs) under real contention. For FIFO kinds,
 /// per-producer order must additionally survive batching (elements of a
 /// batch linearize in slice order).
-fn batched_mpmc_conservation(q: Arc<Box<dyn DynQueue>>, producers: usize, per: u64, batch: usize) {
+fn batched_mpmc_conservation(q: &dyn DynQueue, producers: usize, per: u64, batch: usize) {
     let total = per * producers as u64;
-    let check_fifo = q.fifo();
-    let consumed = Arc::new(AtomicU64::new(0));
-    let mut outputs: Vec<Vec<u64>> = Vec::new();
-    let consumers = 2usize;
-
-    std::thread::scope(|s| {
-        for p in 0..producers {
-            let q = Arc::clone(&q);
-            s.spawn(move || {
-                let vals: Vec<u64> = (0..per).map(|i| 1 + p as u64 * per + i).collect();
-                let mut sent = 0usize;
-                while sent < vals.len() {
-                    let end = (sent + batch).min(vals.len());
-                    let n = q.enqueue_many(p, &vals[sent..end]);
-                    sent += n;
-                    if n == 0 {
-                        std::thread::yield_now();
-                    }
+    let mut cons = q.handles(2);
+    let outputs = run_mpmc(
+        q.handles(producers),
+        &mut cons,
+        total,
+        |p, h| {
+            let vals: Vec<u64> = (0..per).map(|i| 1 + p as u64 * per + i).collect();
+            let mut sent = 0usize;
+            while sent < vals.len() {
+                let end = (sent + batch).min(vals.len());
+                let n = h.enqueue_many(&vals[sent..end]);
+                sent += n;
+                if n == 0 {
+                    std::thread::yield_now();
                 }
-            });
-        }
-        let mut handles = Vec::new();
-        for c in 0..consumers {
-            let q = Arc::clone(&q);
-            let consumed = Arc::clone(&consumed);
-            handles.push(s.spawn(move || {
-                let tid = producers + c;
-                let mut got = Vec::new();
-                loop {
-                    let done = consumed.load(Ordering::Relaxed) >= total;
-                    let before = got.len();
-                    let n = q.dequeue_many(tid, batch, &mut got);
-                    assert_eq!(n, got.len() - before, "{}: count contract", q.name());
-                    if n > 0 {
-                        consumed.fetch_add(n as u64, Ordering::Relaxed);
-                    } else if done {
-                        break;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                got
-            }));
-        }
-        outputs = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    });
+            }
+        },
+        |h, got| {
+            let before = got.len();
+            let n = h.dequeue_many(batch, got);
+            assert_eq!(n, got.len() - before, "{}: count contract", q.name());
+            n
+        },
+    );
 
     check_exactly_once(&outputs, total, q.name());
-    if check_fifo {
+    if q.fifo() {
         // Elements of a batch linearize in slice order, so batching must
         // not cost the FIFO kinds their per-producer order.
         check_per_producer_fifo(&outputs, producers, per, q.name());
     }
-    assert_eq!(q.dequeue(0), None, "{}: residue after batches", q.name());
+    assert_eq!(
+        cons[0].dequeue(),
+        None,
+        "{}: residue after batches",
+        q.name()
+    );
 }
 
 #[test]
@@ -226,7 +231,7 @@ fn batched_mpmc_conservation_all_sound_queues() {
         if !q.sound() {
             continue;
         }
-        batched_mpmc_conservation(Arc::new(q), 2, 1_500, 5);
+        batched_mpmc_conservation(&*q, 2, 1_500, 5);
     }
 }
 
@@ -236,7 +241,7 @@ fn batched_conservation_tiny_capacity_sharded() {
     // churn: the steal rotation is exercised on every operation.
     for kind in [QueueKind::ShardedOptimal, QueueKind::ShardedSegment] {
         let q = kind.build(4, 4);
-        batched_mpmc_conservation(Arc::new(q), 2, 1_000, 3);
+        batched_mpmc_conservation(&*q, 2, 1_000, 3);
     }
 }
 
@@ -252,19 +257,18 @@ fn repeated_value_storm_on_value_independent_queues() {
         QueueKind::Vyukov,
         QueueKind::Scq,
         QueueKind::MutexRing,
-        QueueKind::Crossbeam,
         QueueKind::Ms,
         QueueKind::ShardedOptimal,
         QueueKind::ShardedSegment,
     ] {
-        let q = Arc::new(kind.build(4, 3));
+        let q = kind.build(4, 3);
+        let mut cons = q.register();
         let per = 2_500u64;
         std::thread::scope(|s| {
-            for p in 0..2 {
-                let q = Arc::clone(&q);
+            for mut h in q.handles(2) {
                 s.spawn(move || {
                     for _ in 0..per {
-                        while !q.enqueue(p, 42) {
+                        while !h.enqueue(42) {
                             std::thread::yield_now();
                         }
                     }
@@ -272,7 +276,7 @@ fn repeated_value_storm_on_value_independent_queues() {
             }
             let mut got = 0u64;
             while got < 2 * per {
-                match q.dequeue(2) {
+                match cons.dequeue() {
                     Some(v) => {
                         assert_eq!(v, 42, "{}", q.name());
                         got += 1;
@@ -281,6 +285,6 @@ fn repeated_value_storm_on_value_independent_queues() {
                 }
             }
         });
-        assert_eq!(q.dequeue(0), None, "{}: exact count", q.name());
+        assert_eq!(cons.dequeue(), None, "{}: exact count", q.name());
     }
 }

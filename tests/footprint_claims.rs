@@ -102,30 +102,30 @@ fn listing5_optimal_is_theta_t() {
 
 #[test]
 fn per_slot_designs_are_theta_c() {
-    // E9: Vyukov / SCQ-style / crossbeam pay per slot.
+    // E9: Vyukov / SCQ-style pay per slot.
     assert_linear_in_c(QueueKind::Vyukov);
     assert_linear_in_c(QueueKind::Scq);
-    assert_linear_in_c(QueueKind::Crossbeam);
 }
 
 #[test]
 fn michael_scott_is_theta_n() {
     // E9: MS pays per *element present*, not per slot.
     let q = QueueKind::Ms.build(4096, 1);
+    let mut h = q.register();
     let empty = q.footprint().overhead_bytes();
     for v in 1..=2048u64 {
-        assert!(q.enqueue(0, v));
+        assert!(h.enqueue(v));
     }
     let half = q.footprint().overhead_bytes();
     for v in 1..=2048u64 {
-        assert!(q.enqueue(0, 10_000 + v));
+        assert!(h.enqueue(10_000 + v));
     }
     let full = q.footprint().overhead_bytes();
     assert!(half >= empty + 2048 * 8, "node linkage per element");
     assert!(full >= half + 2048 * 8);
     // And it shrinks back as elements leave (reclamation works).
     for _ in 0..4096 {
-        q.dequeue(0).unwrap();
+        h.dequeue().unwrap();
     }
     let drained = q.footprint().overhead_bytes();
     assert!(drained < half, "overhead must shrink after draining");
@@ -137,9 +137,7 @@ fn e9_ordering_holds_at_reference_point() {
     // Θ(1) designs < Θ(T) designs < Θ(C) designs (C ≫ T).
     let theta1 = overhead(QueueKind::Distinct, 1024, 8);
     let theta_t = overhead(QueueKind::Optimal, 1024, 8).max(overhead(QueueKind::Dcss, 1024, 8));
-    let theta_c = overhead(QueueKind::Vyukov, 1024, 8)
-        .min(overhead(QueueKind::Scq, 1024, 8))
-        .min(overhead(QueueKind::Crossbeam, 1024, 8));
+    let theta_c = overhead(QueueKind::Vyukov, 1024, 8).min(overhead(QueueKind::Scq, 1024, 8));
     assert!(theta1 < theta_t, "Θ(1) < Θ(T): {theta1} vs {theta_t}");
     assert!(
         theta_t < theta_c,

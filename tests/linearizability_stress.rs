@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use membq::bench_registry::{DynQueue, QueueKind};
+use membq::bench_registry::QueueKind;
 use membq::sim::{check_history, check_history_pool, History, HistoryEvent, Op, OpId, Ret};
 use parking_lot::Mutex;
 
@@ -99,13 +99,12 @@ fn stress_batch_paths(
     check: fn(&History, usize) -> bool,
 ) {
     for round in 0..rounds {
-        let q: Arc<Box<dyn DynQueue>> = Arc::new(kind.build(capacity, 3));
+        let q = kind.build(capacity, 3);
         let rec = Arc::new(Recorder::new());
         let base = 1 + round as u64 * 1000 + seed * 1_000_000;
 
         std::thread::scope(|s| {
-            for tid in 0..3usize {
-                let q = Arc::clone(&q);
+            for (tid, mut h) in q.handles(3).into_iter().enumerate() {
                 let rec = Arc::clone(&rec);
                 s.spawn(move || {
                     let mut mix = SeedMix(seed ^ (tid as u64) << 32 ^ round as u64);
@@ -116,14 +115,14 @@ fn stress_batch_paths(
                                 .map(|j| base + tid as u64 * 100 + i * 10 + j)
                                 .collect();
                             let ids = rec.invoke_many(tid, vs.iter().map(|&v| Op::Enqueue(v)));
-                            let n = q.enqueue_many(tid, &vs);
+                            let n = h.enqueue_many(&vs);
                             for (k, id) in ids.into_iter().enumerate() {
                                 rec.ret(id, if k < n { Ret::EnqOk } else { Ret::EnqFull });
                             }
                         } else {
                             let ids = rec.invoke_many(tid, std::iter::repeat_n(Op::Dequeue, batch));
                             let mut out = Vec::new();
-                            q.dequeue_many(tid, batch, &mut out);
+                            h.dequeue_many(batch, &mut out);
                             for (k, id) in ids.into_iter().enumerate() {
                                 rec.ret(
                                     id,
@@ -152,26 +151,25 @@ fn stress_batch_paths(
 
 fn stress_one(kind: QueueKind, capacity: usize, rounds: usize) {
     for round in 0..rounds {
-        let q: Arc<Box<dyn DynQueue>> = Arc::new(kind.build(capacity, 3));
+        let q = kind.build(capacity, 3);
         let rec = Arc::new(Recorder::new());
         // Distinct tokens per round so the Listing 2 rows stay within their
         // assumption; the value-independent queues don't care.
         let base = 1 + round as u64 * 100;
 
         std::thread::scope(|s| {
-            for tid in 0..3usize {
-                let q = Arc::clone(&q);
+            for (tid, mut h) in q.handles(3).into_iter().enumerate() {
                 let rec = Arc::clone(&rec);
                 s.spawn(move || {
                     for i in 0..4u64 {
                         if (tid + i as usize).is_multiple_of(2) {
                             let v = base + tid as u64 * 10 + i;
                             let id = rec.invoke(tid, Op::Enqueue(v));
-                            let ok = q.enqueue(tid, v);
+                            let ok = h.enqueue(v);
                             rec.ret(id, if ok { Ret::EnqOk } else { Ret::EnqFull });
                         } else {
                             let id = rec.invoke(tid, Op::Dequeue);
-                            let got = q.dequeue(tid);
+                            let got = h.dequeue();
                             rec.ret(
                                 id,
                                 match got {
@@ -222,7 +220,7 @@ fn listing3_llsc_histories_linearizable() {
     stress_one(QueueKind::LlSc, 2, 60);
 }
 
-// NOTE: Vyukov/crossbeam-style rings are deliberately NOT stress-checked
+// NOTE: Vyukov-style rings are deliberately NOT stress-checked
 // for strict linearizability: their `enqueue` can report full spuriously
 // while a same-slot consumer from the previous round is mid-flight (see
 // `bq_baselines::vyukov` docs) — the semantic relaxation the paper says
@@ -259,23 +257,22 @@ fn pool_check(h: &History, c: usize) -> bool {
 fn sharded_optimal_histories_pool_linearizable() {
     for seed in [1u64, 2, 3] {
         for round in 0..30usize {
-            let q: Arc<Box<dyn DynQueue>> = Arc::new(QueueKind::ShardedOptimal.build(4, 3));
+            let q = QueueKind::ShardedOptimal.build(4, 3);
             let rec = Arc::new(Recorder::new());
             let base = 1 + round as u64 * 100 + seed * 10_000;
             std::thread::scope(|s| {
-                for tid in 0..3usize {
-                    let q = Arc::clone(&q);
+                for (tid, mut h) in q.handles(3).into_iter().enumerate() {
                     let rec = Arc::clone(&rec);
                     s.spawn(move || {
                         for i in 0..4u64 {
                             if (tid as u64 + i + seed).is_multiple_of(2) {
                                 let v = base + tid as u64 * 10 + i;
                                 let id = rec.invoke(tid, Op::Enqueue(v));
-                                let ok = q.enqueue(tid, v);
+                                let ok = h.enqueue(v);
                                 rec.ret(id, if ok { Ret::EnqOk } else { Ret::EnqFull });
                             } else {
                                 let id = rec.invoke(tid, Op::Dequeue);
-                                let got = q.dequeue(tid);
+                                let got = h.dequeue();
                                 rec.ret(
                                     id,
                                     match got {

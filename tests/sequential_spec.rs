@@ -59,6 +59,7 @@ fn batch_op_strategy() -> impl Strategy<Value = Vec<BatchOp>> {
 }
 
 fn run_against_model(q: &dyn DynQueue, ops: &[OpKind]) {
+    let mut h = q.register();
     let c = q.capacity();
     let mut model: VecDeque<u64> = VecDeque::new();
     let mut next_token = 1u64;
@@ -67,7 +68,7 @@ fn run_against_model(q: &dyn DynQueue, ops: &[OpKind]) {
             OpKind::Enq => {
                 let v = next_token;
                 next_token += 1;
-                let accepted = q.enqueue(0, v);
+                let accepted = h.enqueue(v);
                 let model_accepts = model.len() < c;
                 assert_eq!(
                     accepted,
@@ -81,7 +82,7 @@ fn run_against_model(q: &dyn DynQueue, ops: &[OpKind]) {
                 }
             }
             OpKind::Deq => {
-                let got = q.dequeue(0);
+                let got = h.dequeue();
                 let want = model.pop_front();
                 assert_eq!(got, want, "{}: step {step}: dequeue diverged", q.name());
             }
@@ -89,14 +90,15 @@ fn run_against_model(q: &dyn DynQueue, ops: &[OpKind]) {
     }
     // Drain and compare the residue.
     while let Some(want) = model.pop_front() {
-        assert_eq!(q.dequeue(0), Some(want), "{}: residue diverged", q.name());
+        assert_eq!(h.dequeue(), Some(want), "{}: residue diverged", q.name());
     }
-    assert_eq!(q.dequeue(0), None, "{}: queue must end empty", q.name());
+    assert_eq!(h.dequeue(), None, "{}: queue must end empty", q.name());
 }
 
 /// Replay interleaved single/batch ops against the `SeqRingQueue` batch
 /// oracle: acceptance counts and delivered values must agree elementwise.
 fn run_batches_against_oracle(q: &dyn DynQueue, ops: &[BatchOp]) {
+    let mut h = q.register();
     let mut oracle = SeqRingQueue::with_capacity(q.capacity());
     let mut next_token = 1u64;
     let mut fresh = |n: usize| -> Vec<u64> {
@@ -109,7 +111,7 @@ fn run_batches_against_oracle(q: &dyn DynQueue, ops: &[BatchOp]) {
             BatchOp::Enq => {
                 let v = fresh(1)[0];
                 assert_eq!(
-                    q.enqueue(0, v),
+                    h.enqueue(v),
                     oracle.enqueue(v).is_ok(),
                     "{}: step {step}: single enqueue diverged",
                     q.name()
@@ -117,7 +119,7 @@ fn run_batches_against_oracle(q: &dyn DynQueue, ops: &[BatchOp]) {
             }
             BatchOp::Deq => {
                 assert_eq!(
-                    q.dequeue(0),
+                    h.dequeue(),
                     oracle.dequeue(),
                     "{}: step {step}: single dequeue diverged",
                     q.name()
@@ -125,7 +127,7 @@ fn run_batches_against_oracle(q: &dyn DynQueue, ops: &[BatchOp]) {
             }
             BatchOp::EnqMany(n) => {
                 let vs = fresh(n);
-                let got = q.enqueue_many(0, &vs);
+                let got = h.enqueue_many(&vs);
                 let want = oracle.enqueue_many(&vs);
                 assert_eq!(
                     got,
@@ -138,7 +140,7 @@ fn run_batches_against_oracle(q: &dyn DynQueue, ops: &[BatchOp]) {
                 let mut got = Vec::new();
                 let mut want = Vec::new();
                 assert_eq!(
-                    q.dequeue_many(0, max, &mut got),
+                    h.dequeue_many(max, &mut got),
                     oracle.dequeue_many(max, &mut want),
                     "{}: step {step}: dequeue_many count diverged",
                     q.name()
@@ -155,7 +157,7 @@ fn run_batches_against_oracle(q: &dyn DynQueue, ops: &[BatchOp]) {
     // Drain both and compare the residue in one batched sweep.
     let mut got = Vec::new();
     let mut want = Vec::new();
-    q.dequeue_many(0, q.capacity() + 1, &mut got);
+    h.dequeue_many(q.capacity() + 1, &mut got);
     oracle.dequeue_many(q.capacity() + 1, &mut want);
     assert_eq!(got, want, "{}: residue diverged", q.name());
 }
@@ -163,6 +165,7 @@ fn run_batches_against_oracle(q: &dyn DynQueue, ops: &[BatchOp]) {
 /// The sharded kinds, single-threaded: counts are exact, ordering is a
 /// permutation — conservation against a multiset model.
 fn run_sharded_pool_semantics(q: &dyn DynQueue, ops: &[BatchOp]) {
+    let mut h = q.register();
     let mut live: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
     let c = q.capacity();
     let mut next_token = 1u64;
@@ -172,7 +175,7 @@ fn run_sharded_pool_semantics(q: &dyn DynQueue, ops: &[BatchOp]) {
                 let n = if let BatchOp::EnqMany(n) = *op { n } else { 1 };
                 let vs: Vec<u64> = (0..n as u64).map(|i| next_token + i).collect();
                 next_token += n as u64;
-                let accepted = q.enqueue_many(0, &vs);
+                let accepted = h.enqueue_many(&vs);
                 // Quiescent sharded full-reports are exact: accept until C.
                 assert_eq!(
                     accepted,
@@ -185,7 +188,7 @@ fn run_sharded_pool_semantics(q: &dyn DynQueue, ops: &[BatchOp]) {
             BatchOp::Deq | BatchOp::DeqMany(_) => {
                 let max = if let BatchOp::DeqMany(m) = *op { m } else { 1 };
                 let mut out = Vec::new();
-                let n = q.dequeue_many(0, max, &mut out);
+                let n = h.dequeue_many(max, &mut out);
                 assert_eq!(
                     n,
                     max.min(live.len()),
@@ -203,7 +206,7 @@ fn run_sharded_pool_semantics(q: &dyn DynQueue, ops: &[BatchOp]) {
         }
     }
     let mut rest = Vec::new();
-    q.dequeue_many(0, c + 1, &mut rest);
+    h.dequeue_many(c + 1, &mut rest);
     assert_eq!(rest.len(), live.len(), "{}: residue count", q.name());
     for v in rest {
         assert!(live.remove(&v), "{}: residue fabricated {v}", q.name());
@@ -270,18 +273,19 @@ proptest! {
                 // per-shard — covered by the pool-semantics property.
                 continue;
             }
+            let mut h = q.register();
             let mut next = 1u64;
             for _ in 0..rounds {
                 for _ in 0..cap {
-                    assert!(q.enqueue(0, next), "{}", q.name());
+                    assert!(h.enqueue(next), "{}", q.name());
                     next += 1;
                 }
-                assert!(!q.enqueue(0, next), "{} must report full", q.name());
+                assert!(!h.enqueue(next), "{} must report full", q.name());
                 for i in 0..cap {
                     let want = next - (cap - i) as u64;
-                    assert_eq!(q.dequeue(0), Some(want), "{}", q.name());
+                    assert_eq!(h.dequeue(), Some(want), "{}", q.name());
                 }
-                assert_eq!(q.dequeue(0), None, "{} must report empty", q.name());
+                assert_eq!(h.dequeue(), None, "{} must report empty", q.name());
             }
         }
     }
@@ -295,13 +299,14 @@ proptest! {
             if !q.fifo() {
                 continue;
             }
+            let mut h = q.register();
             let mut oracle = SeqRingQueue::with_capacity(cap);
             let mut next = 1u64;
             for _ in 0..rounds {
                 let vs: Vec<u64> = (0..(cap + 1) as u64).map(|i| next + i).collect();
                 next += vs.len() as u64;
                 assert_eq!(
-                    q.enqueue_many(0, &vs),
+                    h.enqueue_many(&vs),
                     oracle.enqueue_many(&vs),
                     "{}: full-capacity run must accept exactly C",
                     q.name()
@@ -309,7 +314,7 @@ proptest! {
                 let mut got = Vec::new();
                 let mut want = Vec::new();
                 assert_eq!(
-                    q.dequeue_many(0, cap + 1, &mut got),
+                    h.dequeue_many(cap + 1, &mut got),
                     oracle.dequeue_many(cap + 1, &mut want),
                     "{}",
                     q.name()

@@ -34,7 +34,8 @@ fn run_pair(flavor: Flavor, kind: QueueKind, cap: usize, ops: &[ScriptOp]) {
         Flavor::TwoNull => unreachable!("not paired here"),
     };
     let mut sim = Sim::new(sq, mem, 1);
-    let real = kind.build(cap, 1);
+    let q = kind.build(cap, 1);
+    let mut real = q.register();
 
     let mut next = 1u64;
     for (i, op) in ops.iter().enumerate() {
@@ -43,7 +44,7 @@ fn run_pair(flavor: Flavor, kind: QueueKind, cap: usize, ops: &[ScriptOp]) {
                 let v = next;
                 next += 1;
                 let sim_ret = sim.run_op(0, Op::Enqueue(v), 10_000);
-                let real_ok = real.enqueue(0, v);
+                let real_ok = real.enqueue(v);
                 assert_eq!(
                     matches!(sim_ret, Ret::EnqOk),
                     real_ok,
@@ -52,7 +53,7 @@ fn run_pair(flavor: Flavor, kind: QueueKind, cap: usize, ops: &[ScriptOp]) {
             }
             ScriptOp::Deq => {
                 let sim_ret = sim.run_op(0, Op::Dequeue, 10_000);
-                let real_got = real.dequeue(0);
+                let real_got = real.dequeue();
                 let sim_got = match sim_ret {
                     Ret::DeqVal(v) => Some(v),
                     Ret::DeqEmpty => None,
