@@ -5,11 +5,11 @@
 //! on the fixed registry configurations (single-element path vs batched
 //! path at equal element counts).
 //!
-//! Hardware note (ROADMAP open item): on a single-core host the shard
-//! dimension cannot show parallel speedup — sharding removes counter
-//! contention, which only materializes with real parallelism. The batch
-//! dimension amortizes per-call costs (virtual call, shard scan, epoch
-//! pin, tail CAS) and shows up even solo.
+//! Hardware note: the shard dimension can show parallel speedup only up
+//! to the host's core count (`host_cores` in the artifact) — sharding
+//! removes counter contention, which only materializes with real
+//! parallelism. The batch dimension amortizes per-call costs (virtual
+//! call, shard scan, epoch pin, tail CAS) and shows up even solo.
 //!
 //! Run: `cargo run --release -p bq-bench --bin shard_sweep`
 

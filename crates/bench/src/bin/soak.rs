@@ -5,13 +5,10 @@
 //! descriptor-verdict class of race (DESIGN.md §7.1) is exactly what this
 //! binary exists to catch pre-merge (CI runs a bounded number of rounds).
 //!
-//! Every round is journaled into an in-memory [`TraceRing`] (DESIGN.md
-//! §14): round starts, fault-plan seeds, per-round completion. On any
-//! round failure the ring is dumped as a one-line replayable `trace:v1:`
-//! artifact (also written to `BENCH_soak_trace.txt`), so a red soak log
-//! carries the recent-history context of the failure, not just the panic.
-//! `MEMBQ_SOAK_FORCE_FAIL=<round>` forces a failure in that round — the
-//! artifact path's own test hook.
+//! The log is the record: every step of a round prints before it runs,
+//! each fault plan's replayable `plan:v1:` artifact prints before its
+//! round, and a failing round panics, so the process exits non-zero
+//! with the panic message after the round's last `round N: …` line.
 //!
 //! Run: `cargo run --release -p bq-bench --bin soak [rounds]`
 
@@ -24,27 +21,9 @@ use bq_bench::shm_procs::{shm_crash_round, shm_fault_round_with_stats, shm_fork_
 use bq_bench::workload::{
     batched_pairs_throughput, pairs_throughput, producer_consumer_throughput,
 };
-use bq_core::obs::trace_kind;
-use bq_core::TraceRing;
 use bq_shm::FaultPlan;
 
-/// Where the failure artifact lands (next to the `BENCH_*.json` tables).
-const TRACE_PATH: &str = "BENCH_soak_trace.txt";
-
-/// Record the failure, dump the replayable trace, and exit non-zero.
-fn fail_with_trace(trace: &TraceRing, round: u64, why: &str) -> ! {
-    trace.record(trace_kind::FAIL, round);
-    let artifact = trace.dump();
-    eprintln!("\nsoak FAILED in round {round}: {why}");
-    eprintln!("{artifact}");
-    match std::fs::write(TRACE_PATH, format!("{artifact}\n")) {
-        Ok(()) => eprintln!("trace artifact written to {TRACE_PATH}"),
-        Err(e) => eprintln!("could not write {TRACE_PATH}: {e}"),
-    }
-    std::process::exit(1);
-}
-
-fn run_round(round: u64, trace: &TraceRing) {
+fn run_round(round: u64) {
     for kind in ALL_KINDS {
         if !kind.build(4, 1).sound() {
             continue;
@@ -98,14 +77,12 @@ fn run_round(round: u64, trace: &TraceRing) {
     // printed BEFORE the round runs, so a panic or wedge below is
     // reproducible from the log alone (`FaultPlan::from_str`).
     let plan = FaultPlan::from_seed(round);
-    trace.record(trace_kind::PLAN_SEED, round);
     print!("round {round}: shm fault plan {plan} ... ");
     std::io::stdout().flush().unwrap();
     let (published, stats) = shm_fault_round_with_stats(&plan);
     print!("ok ({published} published); ");
     // The round's cross-process post-mortem (DESIGN.md §14): poison
     // count and the per-process tallies, dead producer included.
-    trace.record(trace_kind::SNAPSHOT, stats.entries().len() as u64);
     println!("stats {}", stats.to_json());
     // drop_wakes is driver-side: withhold every wake and require the
     // deadline (not a hang) to end a timed wait.
@@ -129,27 +106,8 @@ fn main() {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(50);
-    let force_fail: Option<u64> = std::env::var("MEMBQ_SOAK_FORCE_FAIL")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let trace = TraceRing::with_capacity(256);
     for round in 0..rounds {
-        trace.record(trace_kind::ROUND_START, round);
-        if force_fail == Some(round) {
-            fail_with_trace(&trace, round, "forced by MEMBQ_SOAK_FORCE_FAIL");
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_round(round, &trace);
-        }));
-        if let Err(payload) = outcome {
-            let why = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("panic (non-string payload)");
-            fail_with_trace(&trace, round, why);
-        }
-        trace.record(trace_kind::ROUND_OK, round);
+        run_round(round);
     }
     println!("soak complete: {rounds} rounds");
 }

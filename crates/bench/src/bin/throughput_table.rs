@@ -11,11 +11,17 @@
 //!    queue scans the `T`-slot announcement array on every operation, so
 //!    per-op cost grows with `T` even without contention.
 //!
+//! It also prints the waiting-façade (E12), cross-process (E13),
+//! zero-copy (E15), deadline (E16) and `obs` (E17) sections. The
+//! bar-bound numbers of E15–E17 go through [`bq_bench::measure`] and land
+//! in `BENCH_trajectory.jsonl`, where `trajectory_check` judges them.
+//!
 //! Run: `cargo run --release -p bq-bench --bin throughput_table`
 
 use std::time::Instant;
 
-use bq_bench::facade::{blocking_pairs_throughput, timed_pairs, ALL_FACADES, PATIENCE};
+use bq_bench::facade::{timed_pairs, ALL_FACADES, PATIENCE};
+use bq_bench::measure::{measure, repeat, Spread, TRIALS};
 use bq_bench::meta::{append_trajectory, run_meta, smoke_mode, write_bench_json};
 use bq_bench::payload::{
     payload_pairs_bytering, payload_pairs_grant, payload_pairs_move, PAYLOAD_BYTES,
@@ -134,8 +140,9 @@ fn main() {
         "same Listing 5 data path and the same eventcount pair; the only\n\
          difference is what parks on a full/empty queue: an OS thread\n\
          (condvar) or an async task (registered waker, block_on driver).\n\
-         C = 4 forces real parking; 1-core caveat as in E11: wake-path\n\
-         cost under preemption, not parallel speedup\n"
+         C = 4 forces real parking; {} host cores: rows with more threads\n\
+         than cores price the wake path under preemption, not speedup\n",
+        meta.host_cores
     );
     println!(
         "{:<20} {:>9} {:>12} {:>12}",
@@ -167,193 +174,90 @@ fn main() {
          TimeLimit differs: Never vs a Timeout that never fires. the timeout\n\
          resolves lazily at the FIRST PARK, so the uncontended row must show\n\
          ~zero overhead (claim: <= 5%); contended rows add one clock read\n\
-         per park. best of 3 runs\n"
+         per park. {TRIALS} interleaved pairs per row; median (q1–q3)\n"
     );
     // Larger than the other sections even in smoke: the headline is a
     // percent-level *difference*, which tiny runs drown in noise.
     let timed_ops = if smoke { 20_000u64 } else { 100_000u64 };
-    let best = |mk: &dyn Fn() -> bq_bench::workload::WorkloadResult| {
-        let mut b = mk();
-        for _ in 0..2 {
-            let r = mk();
-            if r.mops() > b.mops() {
-                b = r;
-            }
-        }
-        b
-    };
     println!(
-        "{:<22} {:>9} {:>12} {:>12} {:>10}",
-        "workload", "threads", "untimed Mops", "timed Mops", "overhead"
+        "{:<22} {:>7} {:>12} {:>12} {:>24}",
+        "workload", "threads", "untimed Mops", "timed Mops", "overhead %"
     );
-    let mut e16_headline: Vec<(&str, f64)> = Vec::new();
-    for (label, cap, threads) in [
-        ("uncontended (C=1024)", 1024usize, 1usize),
-        ("contended (C=4)", 4, 2),
-        ("contended (C=4)", 4, 4),
+    let mut e16_headline: Vec<(&str, Spread)> = Vec::new();
+    for (label, key, cap, threads) in [
+        ("uncontended", "uncontended_overhead_pct", 1024usize, 1usize),
+        ("contended", "contended_2th_overhead_pct", 4, 2),
+        ("contended", "contended_4th_overhead_pct", 4, 4),
     ] {
-        let untimed = best(&|| timed_pairs(cap, threads, timed_ops, TimeLimit::Never));
-        let timed = best(&|| timed_pairs(cap, threads, timed_ops, TimeLimit::Timeout(PATIENCE)));
-        let overhead_pct = (untimed.mops() / timed.mops() - 1.0) * 100.0;
-        println!(
-            "{:<22} {:>9} {:>12.3} {:>12.3} {:>9.1}%",
-            label,
-            threads,
-            untimed.mops(),
-            timed.mops(),
-            overhead_pct
+        let t = measure(
+            || timed_pairs(cap, threads, timed_ops, TimeLimit::Never).mops(),
+            || timed_pairs(cap, threads, timed_ops, TimeLimit::Timeout(PATIENCE)).mops(),
         );
-        for (queue, r) in [
-            ("blocking-optimal", &untimed),
-            ("blocking-optimal-timed", &timed),
+        let overhead = t.per_pair(|never, timed| (never / timed - 1.0) * 100.0);
+        let (never, timed) = (Spread::of(&t.a), Spread::of(&t.b));
+        println!(
+            "{:<22} {:>7} {:>12.3} {:>12.3} {:>24}",
+            format!("{label} (C={cap})"),
+            threads,
+            never.median,
+            timed.median,
+            format!("{overhead:.1}")
+        );
+        for (queue, side) in [
+            ("blocking-optimal", never),
+            ("blocking-optimal-timed", timed),
         ] {
             bench_rows.push(BenchRow {
                 experiment: "E16-timed-pairs",
                 queue: format!("{queue}-{threads}th-c{cap}"),
                 workers: threads,
-                mops: r.mops(),
-                ops: r.ops,
+                mops: side.median,
+                ops: 2 * threads as u64 * timed_ops,
             });
         }
         if threads == 1 {
-            e16_headline.push(("uncontended_untimed_mops", untimed.mops()));
-            e16_headline.push(("uncontended_timed_mops", timed.mops()));
-            e16_headline.push(("uncontended_overhead_pct", overhead_pct));
+            e16_headline.push(("uncontended_untimed_mops", never));
+            e16_headline.push(("uncontended_timed_mops", timed));
         }
+        e16_headline.push((key, overhead));
     }
     println!(
         "\nReading: a timed op that never parks never reads the clock — the\n\
          deadline is a value in a register until the first failed attempt.\n\
-         The uncontended overhead is measurement noise around zero; the §13\n\
-         claim bounds it at 5%."
+         The §13 claim bounds the uncontended median overhead at 5%."
     );
 
     println!("\n=== E17: observability overhead — `obs` counters on vs off (DESIGN.md §14) ===");
     let obs_on = cfg!(feature = "obs");
+    let lane = if obs_on { "on" } else { "off" };
     println!(
-        "this build has the obs feature {}. the uncontended blocking pair\n\
-         (E16's baseline row: C=1024, 1 thread) is re-measured and recorded\n\
-         to BENCH_e17_{}.json; run the other lane (cargo run --release -p\n\
-         bq-bench {} --bin throughput_table) and whichever lane runs second\n\
-         prints the overhead (claim: <= 5% uncontended). best of 3 runs per\n\
-         invocation; the side file keeps each lane's peak across runs of\n\
-         the same commit + workload (peak-vs-peak prices the counters,\n\
-         not the scheduler). 1-core caveat: per-op counter cost under\n\
-         preemption, not scaling\n",
-        if obs_on { "ON" } else { "OFF" },
-        if obs_on { "on" } else { "off" },
-        if obs_on { "" } else { "--features obs" },
+        "this build has the obs feature {lane}. it measures E16's untimed\n\
+         uncontended arm (C=1024, 1 thread) {TRIALS} times and appends one\n\
+         E17-obs-lane row to BENCH_trajectory.jsonl. run the other lane:\n\
+         \n    cargo run --release -p bq-bench {}--bin throughput_table\n\n\
+         then trajectory_check pairs each obs-on row with the nearest\n\
+         earlier obs-off row of this commit and judges the median of the\n\
+         pair ratios (claim: <= 5% uncontended)\n",
+        if obs_on { "" } else { "--features obs " },
     );
-    let e17 = best(&|| blocking_pairs_throughput(1024, 1, timed_ops));
-    println!("{:<22} {:>12} {:>12}", "lane", "Mops", "ns/op");
-    println!(
-        "{:<22} {:>12.3} {:>12.1}",
-        if obs_on {
-            "counters on"
-        } else {
-            "counters off"
-        },
-        e17.mops(),
-        1e3 / e17.mops()
-    );
+    let e17 = repeat(|| timed_pairs(1024, 1, timed_ops, TimeLimit::Never).mops());
+    println!("counters {lane}: {e17:.3} Mops");
     bench_rows.push(BenchRow {
         experiment: "E17-obs-overhead",
-        queue: format!("blocking-optimal-obs-{}", if obs_on { "on" } else { "off" }),
+        queue: format!("blocking-optimal-obs-{lane}"),
         workers: 1,
-        mops: e17.mops(),
-        ops: e17.ops,
+        mops: e17.median,
+        ops: 2 * timed_ops,
     });
-    {
-        // Two-pass side-file protocol: each lane records its own number;
-        // the second lane to run finds the other's file and prices the
-        // counters. Cross-lane comparisons only make sense within one
-        // commit + workload size, so both are checked before comparing.
-        let (mine, theirs) = if obs_on {
-            ("BENCH_e17_on.json", "BENCH_e17_off.json")
-        } else {
-            ("BENCH_e17_off.json", "BENCH_e17_on.json")
-        };
-        // Peak-of-runs per lane: on a preemption-noisy host one run can
-        // land anywhere in a ±20% band, swamping a percent-level bar.
-        // Each lane's side file keeps its best observed throughput for
-        // this commit + workload, so repeated invocations converge to a
-        // peak-vs-peak comparison that prices the counters, not the
-        // scheduler.
-        let mine_mops = std::fs::read_to_string(mine)
-            .ok()
-            .filter(|t| {
-                bq_bench::meta::json_str(t, "git_sha") == Some(meta.git_sha.as_str())
-                    && bq_bench::meta::json_bool(t, "smoke") == Some(meta.smoke)
-            })
-            .and_then(|t| bq_bench::meta::json_f64(&t, "mops"))
-            .map_or(e17.mops(), |prev| prev.max(e17.mops()));
-        if mine_mops > e17.mops() {
-            println!("(lane peak from an earlier run this commit: {mine_mops:.3} Mops)");
-        }
-        let mut side = String::from("{\"experiment\":\"E17-obs-overhead\",\"git_sha\":");
-        meta.git_sha.write_json(&mut side);
-        side.push_str(",\"smoke\":");
-        meta.smoke.write_json(&mut side);
-        side.push_str(",\"mops\":");
-        mine_mops.write_json(&mut side);
-        side.push('}');
-        std::fs::write(mine, &side).unwrap_or_else(|e| panic!("write {mine}: {e}"));
-        let other = std::fs::read_to_string(theirs).ok().filter(|t| {
-            bq_bench::meta::json_str(t, "git_sha") == Some(meta.git_sha.as_str())
-                && bq_bench::meta::json_bool(t, "smoke") == Some(meta.smoke)
-        });
-        match other
-            .as_deref()
-            .and_then(|t| bq_bench::meta::json_f64(t, "mops"))
-        {
-            Some(other_mops) => {
-                let (on_mops, off_mops) = if obs_on {
-                    (mine_mops, other_mops)
-                } else {
-                    (other_mops, mine_mops)
-                };
-                let overhead_pct = (off_mops / on_mops - 1.0) * 100.0;
-                println!(
-                    "{:<22} {:>12.3} {:>12.1}",
-                    if obs_on {
-                        "counters off"
-                    } else {
-                        "counters on"
-                    },
-                    other_mops,
-                    1e3 / other_mops
-                );
-                println!(
-                    "\nobs overhead (uncontended): {overhead_pct:+.1}%  (bar: <= 5%{})",
-                    if meta.smoke {
-                        "; smoke numbers are non-binding"
-                    } else {
-                        ""
-                    }
-                );
-                append_trajectory(
-                    &meta,
-                    "E17-obs-overhead",
-                    &[
-                        ("obs_on_mops", on_mops),
-                        ("obs_off_mops", off_mops),
-                        ("overhead_pct", overhead_pct),
-                    ],
-                );
-            }
-            None => println!(
-                "\n(no matching {theirs} from this commit/workload yet — run the\n\
-                 other lane to complete the E17 comparison)"
-            ),
-        }
-    }
+    append_trajectory(&meta, "E17-obs-lane", &[("obs", &obs_on), ("mops", &e17)]);
 
     println!("\n=== E13: cross-process pairs — ShmQueue over fork (bq-shm) ===");
     println!(
         "each worker is a separate PROCESS sharing one mmap segment; the\n\
          protocol is the crash-consistent publication scheme of DESIGN.md\n\
-         §10. 1-core caveat: columns measure the protocol under context\n\
-         switching (plus amortized fork cost), not parallel speedup\n"
+         §10. {} host cores: rows with more processes than cores measure\n\
+         the protocol under context switching (plus amortized fork cost)\n",
+        meta.host_cores
     );
     println!("{:<14} {:>12} {:>12}", "procs (P+C)", "Mops", "ns/op");
     let shm_per = if smoke { 2_000u64 } else { 20_000u64 };
@@ -386,40 +290,52 @@ fn main() {
          message (local→slot, slot→local); grant = fill/checksum the slot\n\
          bytes in place (DESIGN.md §12); byte-ring = grants plus a length\n\
          header per record. every run checksums every byte delivered.\n\
-         1-core caveat: P and C interleave under preemption — the copy\n\
-         savings are per-operation work and show up regardless\n"
+         {} host cores; each path is compared with move over {TRIALS}\n\
+         interleaved pairs; median (q1–q3)\n",
+        meta.host_cores
     );
     let slots = 64;
     let payload_msgs = if smoke { 5_000u64 } else { 50_000u64 };
-    let rmove = payload_pairs_move(slots, payload_msgs);
-    let rgrant = payload_pairs_grant(slots, payload_msgs);
-    let rbytes = payload_pairs_bytering(slots, payload_msgs);
-    println!(
-        "{:<16} {:>12} {:>12} {:>14}",
-        "path", "kmsg/s", "MiB/s", "speedup vs move"
+    let grant = measure(
+        || payload_pairs_move(slots, payload_msgs).kmsgs(),
+        || payload_pairs_grant(slots, payload_msgs).kmsgs(),
     );
-    for (name, r) in [("move", rmove), ("grant", rgrant), ("byte-ring", rbytes)] {
+    let bytes = measure(
+        || payload_pairs_move(slots, payload_msgs).kmsgs(),
+        || payload_pairs_bytering(slots, payload_msgs).kmsgs(),
+    );
+    let grant_speedup = grant.per_pair(|mv, grant| grant / mv);
+    let bytes_speedup = bytes.per_pair(|mv, bytes| bytes / mv);
+    let (move_kmsgs, grant_kmsgs, bytes_kmsgs) = (
+        Spread::of(&grant.a),
+        Spread::of(&grant.b),
+        Spread::of(&bytes.b),
+    );
+    println!("{:<12} {:>28} {:>24}", "path", "kmsg/s", "vs move (x)");
+    for (name, kmsgs, vs_move) in [
+        ("move", move_kmsgs, None),
+        ("grant", grant_kmsgs, Some(grant_speedup)),
+        ("byte-ring", bytes_kmsgs, Some(bytes_speedup)),
+    ] {
         println!(
-            "{:<16} {:>12.1} {:>12.1} {:>14.2}x",
+            "{:<12} {:>28} {:>24}",
             name,
-            r.kmsgs(),
-            r.mibps(),
-            rmove.secs / r.secs
+            format!("{kmsgs:.1}"),
+            vs_move.map_or("-".to_string(), |s| format!("{s:.2}"))
         );
         bench_rows.push(BenchRow {
             experiment: "E15-payload-4k",
             queue: format!("reloc-ring-{name}"),
             workers: 2,
-            mops: r.kmsgs() / 1e3,
-            ops: r.msgs,
+            mops: kmsgs.median / 1e3,
+            ops: payload_msgs,
         });
     }
-    let grant_speedup = rmove.secs / rgrant.secs;
     println!(
-        "\nReading: the grant path is the move path minus the copies; at\n\
-         {PAYLOAD_BYTES} B the copies dominate, so grants win ({grant_speedup:.2}x here).\n\
-         The byte ring pays its length headers back by never touching a\n\
-         slot-sized region for a smaller message."
+        "\nReading: the grant path is the move path minus the two copies;\n\
+         here grant measured {:.2}x move (median) and byte-ring {:.2}x.\n\
+         The claim is grant >= 1.0x move.",
+        grant_speedup.median, bytes_speedup.median
     );
 
     write_bench_json("BENCH_throughput_table.json", &meta, &bench_rows);
@@ -427,16 +343,21 @@ fn main() {
         &meta,
         "E15-payload-4k",
         &[
-            ("move_mibps", rmove.mibps()),
-            ("grant_mibps", rgrant.mibps()),
-            ("bytering_mibps", rbytes.mibps()),
-            ("grant_speedup_vs_move", grant_speedup),
+            ("move_kmsgs", &move_kmsgs),
+            ("grant_kmsgs", &grant_kmsgs),
+            ("bytering_kmsgs", &bytes_kmsgs),
+            ("grant_speedup_vs_move", &grant_speedup),
+            ("bytering_speedup_vs_move", &bytes_speedup),
         ],
     );
+    let e16_headline: Vec<(&str, &dyn Serialize)> = e16_headline
+        .iter()
+        .map(|(k, v)| (*k, v as &dyn Serialize))
+        .collect();
     append_trajectory(&meta, "E16-timed-pairs", &e16_headline);
     println!(
         "\nwrote {} rows to BENCH_throughput_table.json (git_sha {}, smoke {}, {} cores)\n\
-         appended E15 and E16 headlines to BENCH_trajectory.jsonl",
+         appended E17, E15 and E16 rows to BENCH_trajectory.jsonl",
         bench_rows.len(),
         meta.git_sha,
         meta.smoke,

@@ -8,10 +8,9 @@
 //! on top, so they get their own small kind enum here instead of fake
 //! `DynQueue` rows (a blocking `send` has no "full" outcome to report).
 //!
-//! Hardware note (same as E11): on a single-core host both façades
-//! serialize onto one CPU, so the numbers measure wake-path overhead
-//! under preemption — condvar unpark vs waker re-poll — not parallel
-//! speedup.
+//! Hardware note (same as E11): with more workers than host cores the
+//! façades share CPUs, so those numbers measure wake-path overhead under
+//! preemption — condvar unpark vs waker re-poll — not parallel speedup.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -52,17 +51,10 @@ impl FacadeKind {
     /// `threads` to exercise parking.
     pub fn pairs(self, c: usize, threads: usize, ops_per_thread: u64) -> WorkloadResult {
         match self {
-            FacadeKind::Blocking => blocking_pairs_throughput(c, threads, ops_per_thread),
+            FacadeKind::Blocking => timed_pairs(c, threads, ops_per_thread, TimeLimit::Never),
             FacadeKind::Async => async_pairs_throughput(c, threads, ops_per_thread),
         }
     }
-}
-
-/// Pairs workload over the blocking façade. See [`FacadeKind::pairs`].
-/// The untimed `send`/`recv` are `TimeLimit::Never` calls, so this is
-/// [`timed_pairs`] under `Never`.
-pub fn blocking_pairs_throughput(c: usize, threads: usize, ops_per_thread: u64) -> WorkloadResult {
-    timed_pairs(c, threads, ops_per_thread, TimeLimit::Never)
 }
 
 /// A patience far beyond any bench round's runtime: a limit that exists

@@ -10,19 +10,21 @@
 //! * `cargo run --release -p bq-bench --bin overhead_table` — E1/E3/E5/E6/E7/E9
 //! * `cargo run --release -p bq-bench --bin k_sweep` — E2
 //! * `cargo run --release -p bq-bench --bin adversary` — E4/E8
-//! * `cargo run --release -p bq-bench --bin throughput_table` — E10/E12/E13/E15
+//! * `cargo run --release -p bq-bench --bin throughput_table` — E10/E12/E13/E15/E16/E17
+//! * `cargo run --release -p bq-bench --bin trajectory_check` — the E15–E17 bars
 //! * `cargo run --release -p bq-bench --bin shard_sweep` — E11 (shard × batch)
 //! * `cargo run --release -p bq-bench --bin soak [rounds]` — liveness soak
 //! * `cargo bench -p bq-bench` — criterion microbenchmarks (E2/E7/E10)
 
 pub mod facade;
+pub mod measure;
 pub mod meta;
 pub mod payload;
 pub mod registry;
 pub mod shm_procs;
 pub mod workload;
 
-pub use facade::{async_pairs_throughput, blocking_pairs_throughput, FacadeKind, ALL_FACADES};
+pub use facade::{async_pairs_throughput, FacadeKind, ALL_FACADES};
 pub use meta::{append_trajectory, run_meta, smoke_mode, write_bench_json, BenchDoc, RunMeta};
 pub use payload::{
     payload_pairs_bytering, payload_pairs_grant, payload_pairs_move, PayloadResult, PAYLOAD_BYTES,

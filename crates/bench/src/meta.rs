@@ -3,12 +3,14 @@
 //! attributable to a commit, a host width, and a workload size.
 //!
 //! Numbers without provenance rot instantly — a table produced under
-//! `MEMBQ_SMOKE=1` on a 1-core CI runner must never be compared against
+//! `MEMBQ_SMOKE=1` on a narrow CI runner must never be compared against
 //! a full-size run on a wide box as if they were the same experiment.
 //! Stamping `git_sha`/`smoke`/`host_cores` into the artifact makes the
 //! comparison keys part of the data.
 
 use serde::Serialize;
+
+use crate::measure::Spread;
 
 /// Provenance for one benchmark-binary run.
 #[derive(Serialize, Clone, Debug)]
@@ -19,9 +21,9 @@ pub struct RunMeta {
     /// Whether the run used the tiny `MEMBQ_SMOKE=1` workload sizes —
     /// smoke numbers check plumbing, not performance.
     pub smoke: bool,
-    /// `available_parallelism` on the host. On a 1-core host every
-    /// multi-worker column measures contention under preemption, not
-    /// parallel speedup (the tables repeat this caveat inline).
+    /// `available_parallelism` on the host. Columns with more workers
+    /// than cores measure contention under preemption, not parallel
+    /// speedup (the tables print this count inline).
     pub host_cores: usize,
 }
 
@@ -89,8 +91,9 @@ pub fn write_bench_json<R: Serialize>(path: &str, meta: &RunMeta, rows: &[R]) {
 
 /// Append one compact line to `BENCH_trajectory.jsonl` — the long-lived
 /// per-commit summary CI archives next to the full tables. `summary` is
-/// the experiment's headline numbers (small, hand-picked).
-pub fn append_trajectory(meta: &RunMeta, experiment: &str, summary: &[(&str, f64)]) {
+/// the experiment's headline values (small, hand-picked; a bar-bound
+/// number is a [`Spread`]).
+pub fn append_trajectory(meta: &RunMeta, experiment: &str, summary: &[(&str, &dyn Serialize)]) {
     use std::io::Write;
     let mut line = String::from("{\"git_sha\":");
     meta.git_sha.write_json(&mut line);
@@ -117,11 +120,10 @@ pub fn append_trajectory(meta: &RunMeta, experiment: &str, summary: &[(&str, f64
 
 // -- minimal JSON field extraction ---------------------------------------
 //
-// The vendored serde shim serializes only, so the few places that read
-// bench artifacts back (the E17 two-pass comparison, `trajectory_check`)
-// extract flat `"key": value` fields textually. Good enough for the
-// machine-written one-level documents these tools consume; not a JSON
-// parser.
+// The vendored serde shim serializes only, so `trajectory_check` reads
+// its rows back by extracting `"key": value` fields textually. Good
+// enough for the machine-written documents it consumes (flat, plus one
+// level for a `Spread`); not a JSON parser.
 
 /// First numeric value for `key` in a flat JSON text.
 pub fn json_f64(text: &str, key: &str) -> Option<f64> {
@@ -137,6 +139,17 @@ pub fn json_f64(text: &str, key: &str) -> Option<f64> {
 pub fn json_str<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     let rest = json_raw(text, key)?.strip_prefix('"')?;
     Some(&rest[..rest.find('"')?])
+}
+
+/// The [`Spread`] object written under `key`.
+pub fn json_spread(text: &str, key: &str) -> Option<Spread> {
+    let obj = json_raw(text, key)?.strip_prefix('{')?;
+    let obj = &obj[..obj.find('}')?];
+    Some(Spread {
+        q1: json_f64(obj, "q1")?,
+        median: json_f64(obj, "median")?,
+        q3: json_f64(obj, "q3")?,
+    })
 }
 
 /// First boolean value for `key` in a flat JSON text.
@@ -170,6 +183,19 @@ mod tests {
         assert_eq!(json_f64(line, "overhead_pct"), Some(-1.25));
         assert_eq!(json_f64(line, "missing"), None);
         assert_eq!(json_str(line, "smoke"), None, "non-string value");
+
+        let mut row = String::from("{\"obs\":true,\"mops\":");
+        Spread::of(&[1.0, 2.0, 4.0]).write_json(&mut row);
+        row.push_str(",\"q1\":9}");
+        assert_eq!(
+            json_spread(&row, "mops"),
+            Some(Spread {
+                q1: 1.5,
+                median: 2.0,
+                q3: 3.0
+            })
+        );
+        assert_eq!(json_spread(&row, "obs"), None, "not an object");
     }
 
     #[test]

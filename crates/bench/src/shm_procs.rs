@@ -4,10 +4,10 @@
 //! These mirror [`crate::workload`] but place each worker in its own
 //! forked *process*: the queue lives in an anonymous `MAP_SHARED`
 //! segment, so the only coordination between workers is the shared
-//! protocol itself. On a single-core host the numbers measure the
-//! protocol's cost under preemption and context switching (plus fork
-//! overhead amortized over the run), not parallel speedup — the same
-//! caveat as every other throughput table in this workspace.
+//! protocol itself. With more processes than host cores the numbers
+//! measure the protocol's cost under preemption and context switching
+//! (plus fork overhead amortized over the run), not parallel speedup —
+//! the same caveat as every other throughput table in this workspace.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};

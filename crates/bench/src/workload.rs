@@ -8,7 +8,8 @@
 //!   half drain, modelling the task-scheduler / io_uring-style usage the
 //!   paper's introduction motivates.
 //!
-//! Hardware note: on a single-core host these measure contention behaviour
+//! Hardware note: with more workers than host cores (stamped as
+//! `host_cores` in every artifact) these measure contention behaviour
 //! under preemption (retry rates, helping cost), not parallel speedup —
 //! the relative *shape* across algorithms is still informative, and the
 //! memory results (the paper's subject) are unaffected.

@@ -86,7 +86,7 @@ pub use distinct::{DistinctHandle, DistinctQueue};
 pub use event::{EventCount, TimeLimit, WaiterId};
 pub use llsc_queue::{LlScHandle, LlScQueue};
 pub use naive::{NaiveHandle, NaiveQueue};
-pub use obs::{MetricsSnapshot, TraceEvent, TraceRing};
+pub use obs::MetricsSnapshot;
 pub use optimal::{OptimalHandle, OptimalQueue};
 pub use queue::{ConcurrentQueue, EnqueueError, Full, SeqRingQueue};
 pub use relocatable::{

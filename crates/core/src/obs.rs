@@ -1,10 +1,10 @@
-//! Always-cheap observability: relaxed-atomic counter blocks, metrics
-//! snapshots, and a binary trace ring (DESIGN.md §14).
+//! Always-cheap observability: relaxed-atomic counter blocks and metrics
+//! snapshots (DESIGN.md §14).
 //!
 //! The paper's claims are *overhead* claims, and ROADMAP item 3
 //! (adaptive shard count, contention-aware stealing) is blocked on
 //! "observed CAS-failure or refusal rates" — this module is that signal
-//! surface. Three layers:
+//! surface. Two layers:
 //!
 //! 1. **Counter blocks** ([`QueueCounters`], [`WaitCounters`],
 //!    [`ShardCounters`]) — cache-padded groups of `Relaxed` atomics
@@ -19,17 +19,11 @@
 //!    the shared [`SharedQueueCounters`] block on handle drop, on an
 //!    explicit `flush_metrics`, or every [`LOCAL_FLUSH_PERIOD`] calls —
 //!    so `obs` *on* costs no atomic RMW per operation either (the E17
-//!    budget, DESIGN.md §14.5).
+//!    budget, DESIGN.md §14.4).
 //! 2. **[`MetricsSnapshot`]** — a cold-path, always-compiled view:
 //!    ordered `(name, value)` pairs with delta arithmetic, a `Display`
 //!    table, and serde-shim JSON. Reachable from every queue via
 //!    [`ConcurrentQueue::metrics`](crate::ConcurrentQueue::metrics).
-//! 3. **[`TraceRing`]** — fixed-size binary events over the repo's own
-//!    [`byte_ring`](crate::byte_ring) (dog-fooding DESIGN.md §12),
-//!    dumped as a replayable `trace:v1:` artifact when a harness round
-//!    fails. Events are stamped from a process-local monotonic counter —
-//!    never a wall clock — and stamp 0 under `sim-explore` so explored
-//!    schedules stay deterministic.
 //!
 //! ## Why `Relaxed` ordering is enough (and required)
 //!
@@ -698,200 +692,6 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Trace ring — fixed-size binary events over the repo's own byte ring
-// ---------------------------------------------------------------------------
-
-/// Trace event kinds recorded by the harnesses. A `u8` namespace; the
-/// codec carries unknown kinds through unchanged, so harnesses can add
-/// private kinds without breaking `trace:v1:` parsing.
-pub mod trace_kind {
-    /// A harness round started; `arg` = round number.
-    pub const ROUND_START: u8 = 1;
-    /// A fault plan was derived; `arg` = its seed.
-    pub const PLAN_SEED: u8 = 2;
-    /// A round completed; `arg` = operations/publications observed.
-    pub const ROUND_OK: u8 = 3;
-    /// An oracle or round failed; `arg` = round number.
-    pub const FAIL: u8 = 4;
-    /// A metrics snapshot was taken; `arg` = its entry count.
-    pub const SNAPSHOT: u8 = 5;
-}
-
-/// Size of one encoded trace event: kind (1) + arg (8 LE) + stamp (8 LE).
-pub const TRACE_EVENT_BYTES: usize = 17;
-
-/// One fixed-size binary trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Event kind (see [`trace_kind`]).
-    pub kind: u8,
-    /// Kind-specific argument.
-    pub arg: u64,
-    /// Process-local monotonic stamp (0 under `sim-explore`: explored
-    /// schedules must not observe recording order).
-    pub stamp: u64,
-}
-
-impl TraceEvent {
-    /// Encode as [`TRACE_EVENT_BYTES`] little-endian bytes.
-    pub fn encode(&self) -> [u8; TRACE_EVENT_BYTES] {
-        let mut b = [0u8; TRACE_EVENT_BYTES];
-        b[0] = self.kind;
-        b[1..9].copy_from_slice(&self.arg.to_le_bytes());
-        b[9..17].copy_from_slice(&self.stamp.to_le_bytes());
-        b
-    }
-
-    /// Decode from [`TRACE_EVENT_BYTES`] bytes.
-    pub fn decode(b: &[u8; TRACE_EVENT_BYTES]) -> TraceEvent {
-        TraceEvent {
-            kind: b[0],
-            arg: u64::from_le_bytes(b[1..9].try_into().unwrap()),
-            stamp: u64::from_le_bytes(b[9..17].try_into().unwrap()),
-        }
-    }
-}
-
-/// Next monotonic stamp. A process-local counter, never a wall clock:
-/// artifacts must replay identically and sim builds must stay
-/// deterministic (stamp 0 there).
-fn next_stamp() -> u64 {
-    #[cfg(feature = "sim-explore")]
-    {
-        0
-    }
-    #[cfg(not(feature = "sim-explore"))]
-    {
-        use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
-        static STAMP: StdAtomicU64 = StdAtomicU64::new(1);
-        STAMP.fetch_add(1, StdOrdering::Relaxed)
-    }
-}
-
-/// A bounded binary trace recorder over the repo's own
-/// [`byte_ring`](crate::byte_ring) (DESIGN.md §12): fixed-size events,
-/// drop-oldest on overflow, multi-thread recording serialized by two
-/// uncontended-in-practice mutexes (recording happens on harness control
-/// paths, not inside queue operations). Always compiled — the hot-path
-/// cost question belongs to the counter blocks, not the trace ring.
-pub struct TraceRing {
-    prod: parking_lot::Mutex<crate::bytering::ByteProducer>,
-    cons: parking_lot::Mutex<crate::bytering::ByteConsumer>,
-}
-
-impl fmt::Debug for TraceRing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceRing").finish_non_exhaustive()
-    }
-}
-
-impl TraceRing {
-    /// A ring holding on the order of `events` most-recent events
-    /// (rounded up to the byte ring's record geometry).
-    pub fn with_capacity(events: usize) -> TraceRing {
-        let events = events.max(2);
-        let rec = crate::relocatable::byte_record_size(TRACE_EVENT_BYTES);
-        let (prod, cons) = crate::byte_ring(events * rec, TRACE_EVENT_BYTES);
-        TraceRing {
-            prod: parking_lot::Mutex::new(prod),
-            cons: parking_lot::Mutex::new(cons),
-        }
-    }
-
-    /// Record one event, stamped; evicts the oldest events if full.
-    pub fn record(&self, kind: u8, arg: u64) {
-        let ev = TraceEvent {
-            kind,
-            arg,
-            stamp: next_stamp(),
-        };
-        let mut prod = self.prod.lock();
-        while !prod.push(&ev.encode()) {
-            // Full: drop the oldest event to keep the most recent window.
-            let mut cons = self.cons.lock();
-            if cons.try_read().is_none() {
-                return; // geometry exhausted some other way; drop new event
-            }
-        }
-    }
-
-    /// Drain every recorded event, oldest first.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut cons = self.cons.lock();
-        let mut out = Vec::new();
-        while let Some(g) = cons.try_read() {
-            let mut b = [0u8; TRACE_EVENT_BYTES];
-            if g.len() == TRACE_EVENT_BYTES {
-                b.copy_from_slice(&g);
-                out.push(TraceEvent::decode(&b));
-            }
-        }
-        out
-    }
-
-    /// Drain and render the replayable one-line artifact.
-    pub fn dump(&self) -> String {
-        render_trace(&self.drain())
-    }
-}
-
-/// Render events as the `trace:v1:` one-line hex artifact.
-pub fn render_trace(events: &[TraceEvent]) -> String {
-    let mut s = String::with_capacity(9 + events.len() * TRACE_EVENT_BYTES * 2);
-    s.push_str("trace:v1:");
-    for ev in events {
-        for byte in ev.encode() {
-            use fmt::Write;
-            write!(s, "{byte:02x}").expect("write to String");
-        }
-    }
-    s
-}
-
-/// A `trace:v1:` artifact failed to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BadTrace(String);
-
-impl fmt::Display for BadTrace {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad trace artifact: {}", self.0)
-    }
-}
-
-impl std::error::Error for BadTrace {}
-
-/// Parse a `trace:v1:` artifact back into events. Round-trip contract:
-/// `render_trace(&parse_trace(s)?) == s` for every valid artifact.
-pub fn parse_trace(s: &str) -> Result<Vec<TraceEvent>, BadTrace> {
-    let body = s
-        .strip_prefix("trace:v1:")
-        .ok_or_else(|| BadTrace(format!("missing trace:v1: prefix in {:?}", s.get(..32))))?;
-    if body.len() % (TRACE_EVENT_BYTES * 2) != 0 {
-        return Err(BadTrace(format!(
-            "body length {} is not a multiple of {} hex chars",
-            body.len(),
-            TRACE_EVENT_BYTES * 2
-        )));
-    }
-    let nibble = |c: u8| -> Result<u8, BadTrace> {
-        (c as char)
-            .to_digit(16)
-            .map(|d| d as u8)
-            .ok_or_else(|| BadTrace(format!("non-hex character {:?}", c as char)))
-    };
-    let raw = body.as_bytes();
-    let mut events = Vec::with_capacity(body.len() / (TRACE_EVENT_BYTES * 2));
-    for chunk in raw.chunks_exact(TRACE_EVENT_BYTES * 2) {
-        let mut b = [0u8; TRACE_EVENT_BYTES];
-        for (i, pair) in chunk.chunks_exact(2).enumerate() {
-            b[i] = (nibble(pair[0])? << 4) | nibble(pair[1])?;
-        }
-        events.push(TraceEvent::decode(&b));
-    }
-    Ok(events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -928,53 +728,6 @@ mod tests {
         assert_eq!(hist_bucket(1023), 10);
         assert_eq!(hist_bucket(1024), 11);
         assert_eq!(hist_bucket(u64::MAX), HIST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn trace_artifact_round_trips_byte_identically() {
-        let ring = TraceRing::with_capacity(64);
-        ring.record(trace_kind::ROUND_START, 0);
-        ring.record(trace_kind::PLAN_SEED, 0xDEAD_BEEF);
-        ring.record(trace_kind::ROUND_OK, 42);
-        ring.record(trace_kind::FAIL, 7);
-        let dump = ring.dump();
-        assert!(dump.starts_with("trace:v1:"), "{dump}");
-        let events = parse_trace(&dump).unwrap();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[1].kind, trace_kind::PLAN_SEED);
-        assert_eq!(events[1].arg, 0xDEAD_BEEF);
-        // The acceptance contract: parse → replay-print is byte-identical.
-        assert_eq!(render_trace(&events), dump);
-    }
-
-    #[test]
-    fn trace_ring_drops_oldest_on_overflow() {
-        let ring = TraceRing::with_capacity(4);
-        for i in 0..64 {
-            ring.record(trace_kind::ROUND_OK, i);
-        }
-        let events = ring.drain();
-        assert!(!events.is_empty(), "recent window survives");
-        assert!(events.len() < 64, "old events were evicted");
-        // The survivors are the most recent args, contiguous and in order.
-        let args: Vec<u64> = events.iter().map(|e| e.arg).collect();
-        let first = args[0];
-        let expect: Vec<u64> = (first..64).collect();
-        assert_eq!(args, expect, "survivors are the newest suffix");
-        assert_eq!(*args.last().unwrap(), 63);
-    }
-
-    #[test]
-    fn malformed_trace_artifacts_are_rejected() {
-        for bad in [
-            "trace:v2:00",
-            "00",
-            "trace:v1:0",                                  // odd / short
-            "trace:v1:zz000000000000000000000000000000zz", // non-hex, right length
-        ] {
-            assert!(parse_trace(bad).is_err(), "{bad:?} must not parse");
-        }
-        assert_eq!(parse_trace("trace:v1:").unwrap(), vec![]);
     }
 
     /// The zero-cost contract, mirroring `simx::layout_is_transparent`:

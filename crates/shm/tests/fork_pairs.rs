@@ -169,7 +169,7 @@ fn two_producer_two_consumer_processes_conserve_and_linearize() {
 fn long_pairs_run_conserves_sums() {
     let _g = FORK_LOCK.lock().unwrap();
     let q = ShmQueue::<u64>::create_anon(8).unwrap();
-    let per: u64 = if std::env::var_os("MEMBQ_SMOKE").is_some() {
+    let per: u64 = if std::env::var("MEMBQ_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0") {
         200
     } else {
         2_000
