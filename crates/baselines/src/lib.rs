@@ -3,7 +3,7 @@
 //! The paper positions its bounds against the standard ways practitioners
 //! build lock-free bounded queues. This crate implements those baselines
 //! over the same [`bq_core::ConcurrentQueue`] token interface so that the
-//! overhead table (experiment E9) and the throughput benches (E10) compare
+//! overhead table (experiment E9) and the throughput tables (E10) compare
 //! like for like:
 //!
 //! | Type | Lineage | Overhead |

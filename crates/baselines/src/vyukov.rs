@@ -1,5 +1,5 @@
 //! Vyukov's bounded MPMC queue — the de-facto industrial design the paper
-//! cites [24]: each slot carries a 64-bit **sequence number** that encodes
+//! cites \[24\]: each slot carries a 64-bit **sequence number** that encodes
 //! which round may read/write it. That per-slot word is exactly the Θ(C)
 //! metadata the paper's lower bound says you cannot get rid of without
 //! paying Θ(T) elsewhere.
@@ -26,7 +26,7 @@ use bq_memtrack::{FootprintBreakdown, MemoryFootprint, OverheadClass};
 /// Since the relocatable refactor (DESIGN.md §10) this is a thin heap-backed
 /// wrapper: the sequenced-slot array and the cache-padded counters live in a
 /// [`RelocRing<u64>`](bq_core::relocatable::RelocRing) layout inside an owned
-/// [`RelocBuf`](bq_core::relocatable::RelocBuf), and the protocol itself is
+/// [`RelocBuf`], and the protocol itself is
 /// the ring's `vy_*` methods — the same bytes `bq-shm` places into an
 /// `mmap`-shared segment.
 pub struct VyukovQueue {

@@ -10,12 +10,17 @@
 //!   header term + allocation slack), and
 //! * the **peak live segments** under a producer/consumer churn with `T`
 //!   threads (which surfaces the T·K term: retired segments pinned by
-//!   in-flight readers).
+//!   in-flight readers), and
+//! * the **speed** of one thread filling the queue to `C` and draining it
+//!   (tiny segments allocate constantly; huge ones are cheap to cross),
+//!   as the median (q1–q3) of [`bq_bench::measure::repeat`]'s trials.
 //!
 //! Run: `cargo run --release -p bq-bench --bin k_sweep`
 
 use std::sync::Arc;
 
+use bq_bench::measure::repeat;
+use bq_bench::workload::solo_bursts;
 use bq_core::{ConcurrentQueue, SegmentQueue};
 use bq_memtrack::MemoryFootprint;
 
@@ -74,21 +79,25 @@ fn main() {
     println!("=== E2: segment-size sweep, C = {c}, T = {producers}+1 threads ===");
     println!("paper claim: overhead Θ(C/K + T·K), minimized Θ(T·√C) at K = √C = {sqrt_c}\n");
     println!(
-        "{:>6} {:>10} {:>16} {:>16} {:>14}",
-        "K", "C/K", "steady ovh (B)", "churn peak (B)", "peak segments"
+        "{:>6} {:>10} {:>16} {:>16} {:>14} {:>22}",
+        "K", "C/K", "steady ovh (B)", "churn peak (B)", "peak segments", "fill+drain Mops"
     );
 
     let mut best: Option<(usize, usize)> = None;
     for k in [4usize, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384] {
         let steady = steady_state_overhead(c, k);
         let (peak, segs) = churn_peak_overhead(c, k, producers, items);
+        let q = SegmentQueue::with_capacity_and_segment_size(c, k);
+        let mut h = q.register();
+        let mops = repeat(|| solo_bursts(&q, &mut h, c, 1).mops());
         println!(
-            "{:>6} {:>10} {:>16} {:>16} {:>14}",
+            "{:>6} {:>10} {:>16} {:>16} {:>14} {:>22}",
             k,
             c / k,
             steady,
             peak,
-            segs
+            segs,
+            format!("{mops:.2}")
         );
         if best.map(|(_, b)| peak < b).unwrap_or(true) {
             best = Some((k, peak));
@@ -114,11 +123,7 @@ fn main() {
         } else {
             SegmentQueue::with_capacity_and_segment_size(c, k)
         };
-        let mut h = q.register();
-        for v in 1..=ops {
-            q.enqueue(&mut h, v).unwrap();
-            q.dequeue(&mut h).unwrap();
-        }
+        solo_bursts(&q, &mut q.register(), 1, ops);
         println!(
             "{:>8} {:>18} {:>18} {:>14}",
             if pooled { "pooled" } else { "epoch" },

@@ -1,25 +1,29 @@
 //! **Experiment E10** — throughput and the Θ(T)-time cost of memory
 //! optimality.
 //!
-//! Two tables:
+//! Three tables:
 //!
-//! 1. mixed enqueue/dequeue pairs, all algorithms × thread counts — the
-//!    general performance landscape (§1: memory-friendliness correlates
-//!    with performance; Θ(C) industrial designs are fastest);
-//! 2. Listing 5 single-threaded operation cost as a function of the thread
-//!    bound `T` — the paper's closing open question: its memory-optimal
-//!    queue scans the `T`-slot announcement array on every operation, so
-//!    per-op cost grows with `T` even without contention.
+//! * E10a: mixed enqueue/dequeue pairs, all algorithms × thread counts —
+//!   the general performance landscape (§1: memory-friendliness
+//!   correlates with performance; Θ(C) industrial designs are fastest);
+//! * E10b: Listing 5 single-threaded operation cost as a function of the
+//!   thread bound `T`, against `T = 1` — the paper's closing open
+//!   question: its memory-optimal queue scans the `T`-slot announcement
+//!   array on every operation, so per-op cost grows with `T` even
+//!   without contention (E7's time side);
+//! * E10c: the same comparison for Vyukov's queue, which has no thread
+//!   bound, so its ratio shows what "no slowdown" reads as.
 //!
-//! It also prints the waiting-façade (E12), cross-process (E13),
-//! zero-copy (E15), deadline (E16) and `obs` (E17) sections. The
-//! bar-bound numbers of E15–E17 go through [`bq_bench::measure`] and land
-//! in `BENCH_trajectory.jsonl`, where `trajectory_check` judges them.
+//! It also prints the batch (E10d), waiting-façade (E12), cross-process
+//! (E13), zero-copy (E15), deadline (E16) and `obs` (E17) sections.
+//! E10a–E10c and E15–E17 are measured with [`bq_bench::measure`] and
+//! printed as `median (q1–q3)`; the bar-bound numbers of E15–E17 also
+//! land in `BENCH_trajectory.jsonl`, where `trajectory_check` judges
+//! them.
 //!
 //! Run: `cargo run --release -p bq-bench --bin throughput_table`
 
-use std::time::Instant;
-
+use bq_baselines::VyukovQueue;
 use bq_bench::facade::{timed_pairs, ALL_FACADES, PATIENCE};
 use bq_bench::measure::{measure, repeat, Spread, TRIALS};
 use bq_bench::meta::{append_trajectory, run_meta, smoke_mode, write_bench_json};
@@ -28,7 +32,7 @@ use bq_bench::payload::{
 };
 use bq_bench::registry::{QueueKind, ALL_KINDS};
 use bq_bench::shm_procs::shm_fork_pairs_throughput;
-use bq_bench::workload::{pairs_throughput, print_batch_win_table};
+use bq_bench::workload::{pairs_throughput, print_batch_win_table, solo_bursts};
 use bq_core::{ConcurrentQueue, OptimalQueue, TimeLimit};
 use serde::Serialize;
 
@@ -42,6 +46,39 @@ struct BenchRow {
     ops: u64,
 }
 
+/// One E10b/E10c row: `pairs` solo enqueue+dequeue pairs on the queue
+/// `build(t)` against `build(1)`, over [`measure`]'s interleaved pairs.
+/// Prints the T = t side's ns/op and the median per-pair slowdown
+/// against T = 1, and returns the row for the JSON file.
+fn solo_vs_t1<Q: ConcurrentQueue>(
+    experiment: &'static str,
+    name: &str,
+    t: usize,
+    pairs: u64,
+    build: impl Fn(usize) -> Q,
+) -> BenchRow {
+    let (one, many) = (build(1), build(t));
+    let (mut h1, mut ht) = (one.register(), many.register());
+    let trials = measure(
+        || 1e3 / solo_bursts(&one, &mut h1, 1, pairs).mops(),
+        || 1e3 / solo_bursts(&many, &mut ht, 1, pairs).mops(),
+    );
+    let ns = Spread::of(&trials.b);
+    let slowdown = trials.per_pair(|one, many| many / one);
+    println!(
+        "{t:>6} {:>22} {:>20}",
+        format!("{ns:.1}"),
+        format!("{slowdown:.2}")
+    );
+    BenchRow {
+        experiment,
+        queue: format!("{name}-T{t}"),
+        workers: 1,
+        mops: 1e3 / ns.median,
+        ops: 2 * pairs,
+    }
+}
+
 fn main() {
     let smoke = smoke_mode();
     let meta = run_meta();
@@ -52,12 +89,13 @@ fn main() {
 
     println!("=== E10a: mixed pairs throughput (C = {c}, {ops} pairs/thread) ===");
     println!(
-        "{} host cores: columns with more threads than cores measure contention, not speedup\n",
+        "{} host cores: columns with more threads than cores measure contention, not\n\
+         speedup. each cell: {TRIALS} runs, each on a fresh queue; median (q1–q3) Mops\n",
         meta.host_cores
     );
     print!("{:<24} {:>14}", "queue", "claimed ovh");
     for t in thread_counts {
-        print!(" {:>9}", format!("{t}th Mops"));
+        print!(" {:>20}", format!("{t}th Mops"));
     }
     println!();
     for kind in ALL_KINDS {
@@ -66,15 +104,18 @@ fn main() {
         }
         print!("{:<24} {:>14}", kind.name(), kind.claimed_overhead());
         for t in thread_counts {
-            let q = kind.build(c, t);
-            let r = pairs_throughput(&*q, &mut q.handles(t), ops);
-            print!(" {:>9.3}", r.mops());
+            let mops = repeat(|| {
+                let q = kind.build(c, t);
+                let r = pairs_throughput(&*q, &mut q.handles(t), ops);
+                r.mops()
+            });
+            print!(" {:>20}", format!("{mops:.2}"));
             bench_rows.push(BenchRow {
                 experiment: "E10a-pairs",
                 queue: kind.name().to_string(),
                 workers: t,
-                mops: r.mops(),
-                ops: r.ops,
+                mops: mops.median,
+                ops: 2 * t as u64 * ops,
             });
         }
         println!();
@@ -95,24 +136,22 @@ fn main() {
         32,
     );
 
+    let solo_pairs = if smoke { 3_000u64 } else { 30_000u64 };
     println!("\n=== E10b: Listing 5 per-op cost vs thread bound T (solo thread) ===");
-    println!("the announcement array is scanned on every op → cost grows ~linearly in T\n");
-    println!("{:>6} {:>16} {:>12}", "T", "ns/op (solo)", "vs T=1");
-    let mut base = 0.0f64;
+    println!(
+        "the announcement array is scanned on every op → cost grows ~linearly in T.\n\
+         each row runs {solo_pairs} enqueue+dequeue pairs per trial, T = 1 against T = t\n\
+         over {TRIALS} interleaved pairs; median (q1–q3)\n"
+    );
+    println!("{:>6} {:>22} {:>20}", "T", "ns/op (solo)", "vs T=1 (x)");
     for t in [1usize, 2, 4, 8, 16, 32, 64, 128] {
-        let q = OptimalQueue::with_capacity_and_threads(c, t);
-        let mut h = q.register();
-        let iters = if smoke { 3_000u64 } else { 30_000u64 };
-        let start = Instant::now();
-        for v in 1..=iters {
-            q.enqueue(&mut h, v).unwrap();
-            q.dequeue(&mut h).unwrap();
-        }
-        let ns = start.elapsed().as_nanos() as f64 / (2 * iters) as f64;
-        if t == 1 {
-            base = ns;
-        }
-        println!("{:>6} {:>16.1} {:>11.2}x", t, ns, ns / base);
+        bench_rows.push(solo_vs_t1(
+            "E10b-optimal-vs-T",
+            "listing5-optimal",
+            t,
+            solo_pairs,
+            |t| OptimalQueue::with_capacity_and_threads(c, t),
+        ));
     }
     println!(
         "\nReading: memory optimality costs time — Θ(T) per operation — matching the\n\
@@ -120,19 +159,20 @@ fn main() {
          queues exist."
     );
 
-    println!("\n=== E10c: Vyukov control for E10b (per-slot design, T-independent) ===\n");
-    println!("{:>6} {:>16}", "T", "ns/op (solo)");
+    println!("\n=== E10c: Vyukov control for E10b (per-slot design, no thread bound) ===");
+    println!(
+        "the same loop and comparison; Vyukov's queue takes no T, so both sides of\n\
+         a row are the same queue and the ratio shows what no slowdown reads as\n"
+    );
+    println!("{:>6} {:>22} {:>20}", "T", "ns/op (solo)", "vs T=1 (x)");
     for t in [1usize, 8, 64] {
-        let q = QueueKind::Vyukov.build(c, t);
-        let mut h = q.register();
-        let iters = if smoke { 5_000u64 } else { 50_000u64 };
-        let start = Instant::now();
-        for v in 1..=iters {
-            assert!(h.enqueue(v));
-            h.dequeue().unwrap();
-        }
-        let ns = start.elapsed().as_nanos() as f64 / (2 * iters) as f64;
-        println!("{:>6} {:>16.1}", t, ns);
+        bench_rows.push(solo_vs_t1(
+            "E10c-vyukov-vs-T",
+            "vyukov",
+            t,
+            solo_pairs,
+            |_| VyukovQueue::with_capacity(c),
+        ));
     }
 
     println!("\n=== E12: waiting façades — blocking vs async pairs (DESIGN.md §9) ===");

@@ -2,19 +2,18 @@
 //!
 //! Shared machinery for the reproduction's experiments (DESIGN.md §4):
 //! a dynamic queue registry so every experiment can iterate over all queue
-//! implementations uniformly, and workload drivers for the throughput
-//! experiments.
+//! implementations uniformly, workload drivers for the time experiments,
+//! and their measurement protocol ([`measure`]).
 //!
 //! The runnable entry points are:
 //!
 //! * `cargo run --release -p bq-bench --bin overhead_table` — E1/E3/E5/E6/E7/E9
-//! * `cargo run --release -p bq-bench --bin k_sweep` — E2
+//! * `cargo run --release -p bq-bench --bin k_sweep` — E2 (memory and speed)
 //! * `cargo run --release -p bq-bench --bin adversary` — E4/E8
-//! * `cargo run --release -p bq-bench --bin throughput_table` — E10/E12/E13/E15/E16/E17
+//! * `cargo run --release -p bq-bench --bin throughput_table` — E7's time side, E10/E12/E13/E15/E16/E17
 //! * `cargo run --release -p bq-bench --bin trajectory_check` — the E15–E17 bars
 //! * `cargo run --release -p bq-bench --bin shard_sweep` — E11 (shard × batch)
 //! * `cargo run --release -p bq-bench --bin soak [rounds]` — liveness soak
-//! * `cargo bench -p bq-bench` — criterion microbenchmarks (E2/E7/E10)
 
 pub mod facade;
 pub mod measure;

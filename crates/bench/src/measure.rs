@@ -1,5 +1,6 @@
-//! The one measurement protocol behind every bar-bound number (E15, E16,
-//! E17): warm up, repeat, summarise by the median and quartiles.
+//! The one measurement protocol behind the bar-bound numbers (E15, E16,
+//! E17), E2's speed side and E10a–E10c: warm up, repeat, summarise by
+//! the median and quartiles.
 //!
 //! A single run of a sub-second workload on a shared host lands anywhere
 //! in a ±20% band, so a percent-level bar judged on one run (or on the

@@ -6,7 +6,10 @@
 //!   half-full queue (uniform mixed contention);
 //! * **producer/consumer** — half the threads enqueue a fixed item count,
 //!   half drain, modelling the task-scheduler / io_uring-style usage the
-//!   paper's introduction motivates.
+//!   paper's introduction motivates;
+//!
+//! and one single-thread loop, [`solo_bursts`], for the solo time
+//! experiments (E2's speed side, E10b and its E10c control).
 //!
 //! Hardware note: with more workers than host cores (stamped as
 //! `host_cores` in every artifact) these measure contention behaviour
@@ -16,6 +19,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+
+use bq_core::ConcurrentQueue;
 
 use crate::registry::{DynHandle, DynQueue};
 
@@ -180,6 +185,34 @@ pub fn print_batch_win_table(
     }
 }
 
+/// One thread, one handle: `rounds` rounds of `burst` enqueues followed
+/// by `burst` dequeues on `q`, which starts and ends empty. `burst = 1`
+/// is the solo enqueue+dequeue pair (E10b, E10c); `burst = C` fills the
+/// queue and drains it (E2). Generic over the queue, so no registry
+/// indirection is timed along with the algorithm.
+pub fn solo_bursts<Q: ConcurrentQueue>(
+    q: &Q,
+    h: &mut Q::Handle,
+    burst: usize,
+    rounds: u64,
+) -> WorkloadResult {
+    let mut next = 1u64;
+    let start = Instant::now();
+    for _ in 0..rounds {
+        for _ in 0..burst {
+            q.enqueue(h, next).expect("a burst fits in the queue");
+            next += 1;
+        }
+        for _ in 0..burst {
+            q.dequeue(h).expect("every enqueued element is dequeued");
+        }
+    }
+    WorkloadResult {
+        ops: 2 * burst as u64 * rounds,
+        secs: start.elapsed().as_secs_f64(),
+    }
+}
+
 /// Producer/consumer transfer: the first half of `hs` produce
 /// `items_per_producer` fresh tokens each while the second half drain
 /// until every item has been observed.
@@ -274,6 +307,18 @@ mod tests {
         assert_eq!(r.ops, 2000);
         // Queue drained exactly.
         assert_eq!(hs[0].dequeue(), None);
+    }
+
+    #[test]
+    fn solo_bursts_counts_ops_and_leaves_the_queue_empty() {
+        let q = bq_core::SegmentQueue::with_capacity_and_segment_size(16, 4);
+        let mut h = q.register();
+        let r = solo_bursts(&q, &mut h, 16, 3);
+        assert_eq!(r.ops, 96);
+        assert!(q.dequeue(&mut h).is_none());
+        let r = solo_bursts(&q, &mut h, 1, 10);
+        assert_eq!(r.ops, 20);
+        assert!(q.is_empty());
     }
 
     #[test]

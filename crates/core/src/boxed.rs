@@ -8,9 +8,9 @@
 //! Only **value-independent** queues may carry pointers: the allocator can
 //! hand the same address out twice (free → malloc), so the underlying queue
 //! must tolerate repeated values. [`PointerCapable`] marks the queues for
-//! which that holds: [`SegmentQueue`](crate::SegmentQueue) (unique absolute
-//! positions), [`DcssQueue`](crate::DcssQueue) (counter-guarded updates) and
-//! [`OptimalQueue`](crate::OptimalQueue) (announcement protocol). Notably it
+//! which that holds: [`SegmentQueue`] (unique absolute
+//! positions), [`DcssQueue`] (counter-guarded updates) and
+//! [`OptimalQueue`] (announcement protocol). Notably it
 //! excludes [`DistinctQueue`](crate::DistinctQueue): recycled addresses
 //! violate its distinct-elements assumption — exactly the trap the paper
 //! warns practitioners about.

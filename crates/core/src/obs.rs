@@ -502,7 +502,7 @@ impl LocalQueueCounters {
     pub fn flush(&mut self) {}
 }
 
-/// Waiter-subsystem counters: one block per [`EventCount`]
+/// Waiter-subsystem counters: one block per [`EventCount`](crate::EventCount)
 /// (DESIGN.md §9), covering both the thread (blocking) and task (async)
 /// clients.
 #[cfg_attr(feature = "obs", repr(align(128)))]

@@ -36,7 +36,7 @@ pub enum EnqueueError {
 ///   paper's `⊥`).
 ///
 /// Implementations that need a thread identity (the descriptor-based queues,
-/// Listings 4 and 5) receive it through a per-thread [`Handle`] obtained
+/// Listings 4 and 5) receive it through a per-thread [`Handle`](ConcurrentQueue::Handle) obtained
 /// from [`register`](ConcurrentQueue::register); queues without per-thread
 /// state use a trivial handle. Handles must not be shared between threads
 /// concurrently (they are `Send`, not `Sync`).
@@ -145,8 +145,8 @@ pub trait ConcurrentQueue: Send + Sync {
 ///
 /// Since the relocatable refactor (DESIGN.md §10) this is a thin heap-backed
 /// wrapper: the actual slots + counters live in a
-/// [`RelocSeqRing`](crate::relocatable::RelocSeqRing) layout inside an owned
-/// [`RelocBuf`](crate::relocatable::RelocBuf); `Clone` is a literal `memcpy`
+/// [`RelocSeqRing`] layout inside an owned
+/// [`RelocBuf`]; `Clone` is a literal `memcpy`
 /// of those bytes, which doubles as a continuous proof of relocatability.
 pub struct SeqRingQueue {
     buf: RelocBuf,

@@ -8,7 +8,7 @@
 //!   wrappers compile to exactly the underlying primitive, and
 //!   `#[repr(transparent)]` keeps every relocatable layout byte-stable;
 //! * with the `sim-explore` feature: every operation is bracketed by
-//!   [`simyield`] hook calls. On threads without an installed hook
+//!   `simyield` hook calls. On threads without an installed hook
 //!   (everything outside the explorer) the bracket is one thread-local
 //!   check; on explorer-controlled threads it is a cooperative
 //!   scheduling point, which is how `bq_sim::explore` enumerates

@@ -251,11 +251,13 @@ mod tests {
 
     #[test]
     fn alloc_counters_accumulate() {
-        let before = AllocStats::snapshot();
+        // The calling thread's counts: sibling tests bump the global
+        // counters concurrently on other test threads.
+        let before = AllocStats::this_thread();
         TrackingAlloc::on_alloc(128);
         TrackingAlloc::on_alloc(64);
         TrackingAlloc::on_dealloc(64);
-        let after = AllocStats::snapshot();
+        let after = AllocStats::this_thread();
         assert_eq!(after.allocated_bytes - before.allocated_bytes, 192);
         assert_eq!(after.freed_bytes - before.freed_bytes, 64);
         assert_eq!(after.allocated_blocks - before.allocated_blocks, 2);

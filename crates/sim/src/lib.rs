@@ -28,7 +28,7 @@
 //!   middle-steal and the enqueue-into-hole constructions, run against each
 //!   simulated algorithm.
 //! * [`explore`] — the schedule explorer (DESIGN.md §11): a replayable
-//!   [`Schedule`](explore::Schedule) artifact, a machine-level schedule
+//!   [`Schedule`] artifact, a machine-level schedule
 //!   runner used by the pinned regression fixtures, and — under the
 //!   `explore` feature — bounded enumeration of interleavings of the
 //!   *real* `bq-core` algorithms through their `simyield` hook seam.

@@ -219,7 +219,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::fmt::Debug;
 
-    /// Acceptable size arguments for [`vec`]: a fixed `usize` or a range.
+    /// Acceptable size arguments for [`vec()`]: a fixed `usize` or a range.
     pub struct SizeRange {
         lo: usize,
         hi: usize, // exclusive

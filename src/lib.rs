@@ -10,13 +10,13 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`core`](bq_core) — the queue algorithms (Listings 1–5 + strawman);
-//! * [`llsc`](bq_llsc) / [`dcss`](bq_dcss) — synchronization substrates;
-//! * [`memtrack`](bq_memtrack) — the memory-overhead accounting;
-//! * [`baselines`](bq_baselines) — Michael–Scott, Vyukov, SCQ-style,
+//! * [`core`] — the queue algorithms (Listings 1–5 + strawman);
+//! * [`llsc`] / [`dcss`] — synchronization substrates;
+//! * [`memtrack`] — the memory-overhead accounting;
+//! * [`baselines`] — Michael–Scott, Vyukov, SCQ-style,
 //!   Tsigas–Zhang model, mutex ring;
-//! * [`sim`](bq_sim) — the adversary + linearizability checker;
-//! * [`shm`](bq_shm) — the shared-memory multi-process backend (mmap
+//! * [`sim`] — the adversary + linearizability checker;
+//! * [`shm`] — the shared-memory multi-process backend (mmap
 //!   segments, crash-consistent `ShmQueue`, fork harness).
 //!
 //! Start with [`prelude`], the examples in `examples/`, and DESIGN.md /
