@@ -15,12 +15,13 @@
 use std::io::Write;
 use std::time::Duration;
 
-use bq_bench::facade::{timed_recv_dropped_wake_round, ALL_FACADES};
+use bq_bench::facade::{async_pairs_throughput, timed_pairs, timed_recv_dropped_wake_round};
 use bq_bench::registry::{sharded_optimal, ALL_KINDS};
 use bq_bench::shm_procs::{shm_crash_round, shm_fault_round_with_stats, shm_fork_pairs_throughput};
 use bq_bench::workload::{
     batched_pairs_throughput, pairs_throughput, producer_consumer_throughput,
 };
+use bq_core::TimeLimit;
 use bq_shm::FaultPlan;
 
 fn run_round(round: u64) {
@@ -53,12 +54,13 @@ fn run_round(round: u64) {
     // Waiting façades (DESIGN.md §9): a tiny capacity makes the
     // workers park constantly, hammering the eventcount wake paths —
     // a lost wake shows up here as a hang naming the façade.
-    for kind in ALL_FACADES {
-        print!("round {round}: {} pairs ... ", kind.name());
-        std::io::stdout().flush().unwrap();
-        let r = kind.pairs(2, 3, 300);
-        println!("ok ({} ops)", r.ops);
-    }
+    print!("round {round}: blocking-optimal pairs ... ");
+    std::io::stdout().flush().unwrap();
+    let r = timed_pairs(2, 3, 300, TimeLimit::Never);
+    print!("ok ({} ops); async-optimal pairs ... ", r.ops);
+    std::io::stdout().flush().unwrap();
+    let r = async_pairs_throughput(2, 3, 300);
+    println!("ok ({} ops)", r.ops);
     // Cross-process rounds (bq-shm): fork-based pairs, then a
     // producer SIGKILLed mid-stream. The write budget walks through
     // the residues of the 5-write enqueue sequence round by round,

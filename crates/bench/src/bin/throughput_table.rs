@@ -14,25 +14,25 @@
 //! * E10c: the same comparison for Vyukov's queue, which has no thread
 //!   bound, so its ratio shows what "no slowdown" reads as.
 //!
-//! It also prints the batch (E10d), waiting-façade (E12), cross-process
-//! (E13), zero-copy (E15), deadline (E16) and `obs` (E17) sections.
-//! E10a–E10c and E15–E17 are measured with [`bq_bench::measure`] and
-//! printed as `median (q1–q3)`; the bar-bound numbers of E15–E17 also
-//! land in `BENCH_trajectory.jsonl`, where `trajectory_check` judges
-//! them.
+//! It also prints the waiting-façade (E12), cross-process (E13),
+//! zero-copy (E15), deadline (E16) and `obs` (E17) sections. Every
+//! timed number is measured with [`bq_bench::measure`] and printed as
+//! `median (q1–q3)`; the medians land in `BENCH_throughput_table.json`,
+//! and the bar-bound numbers of E15–E17 also land in
+//! `BENCH_trajectory.jsonl`, where `trajectory_check` judges them.
 //!
 //! Run: `cargo run --release -p bq-bench --bin throughput_table`
 
 use bq_baselines::VyukovQueue;
-use bq_bench::facade::{timed_pairs, ALL_FACADES, PATIENCE};
+use bq_bench::facade::{async_pairs_throughput, timed_pairs, PATIENCE};
 use bq_bench::measure::{measure, repeat, Spread, TRIALS};
 use bq_bench::meta::{append_trajectory, run_meta, smoke_mode, write_bench_json};
 use bq_bench::payload::{
     payload_pairs_bytering, payload_pairs_grant, payload_pairs_move, PAYLOAD_BYTES,
 };
-use bq_bench::registry::{QueueKind, ALL_KINDS};
+use bq_bench::registry::ALL_KINDS;
 use bq_bench::shm_procs::shm_fork_pairs_throughput;
-use bq_bench::workload::{pairs_throughput, print_batch_win_table, solo_bursts};
+use bq_bench::workload::{pairs_throughput, solo_bursts};
 use bq_core::{ConcurrentQueue, OptimalQueue, TimeLimit};
 use serde::Serialize;
 
@@ -121,21 +121,6 @@ fn main() {
         println!();
     }
 
-    println!("\n=== E10d: batched pairs (B = 32) — the scale layer's batch win ===");
-    println!("same element count as one E10a cell; see shard_sweep for the full E11 grid\n");
-    print_batch_win_table(
-        &[
-            QueueKind::Optimal,
-            QueueKind::ShardedOptimal,
-            QueueKind::Segment,
-            QueueKind::Vyukov,
-        ],
-        c,
-        2,
-        ops,
-        32,
-    );
-
     let solo_pairs = if smoke { 3_000u64 } else { 30_000u64 };
     println!("\n=== E10b: Listing 5 per-op cost vs thread bound T (solo thread) ===");
     println!(
@@ -181,23 +166,36 @@ fn main() {
          difference is what parks on a full/empty queue: an OS thread\n\
          (condvar) or an async task (registered waker, block_on driver).\n\
          C = 4 forces real parking; {} host cores: rows with more threads\n\
-         than cores price the wake path under preemption, not speedup\n",
+         than cores price the wake path under preemption, not speedup.\n\
+         each row: {TRIALS} interleaved blocking/async pairs; median (q1–q3)\n",
         meta.host_cores
     );
     println!(
-        "{:<20} {:>9} {:>12} {:>12}",
-        "facade", "threads", "Mops", "ns/op"
+        "{:>7} {:>20} {:>20} {:>20}",
+        "threads", "blocking Mops", "async Mops", "async/blocking (x)"
     );
+    let facade_ops = if smoke { 1_000u64 } else { 10_000u64 };
     for threads in [1usize, 2, 4] {
-        for kind in ALL_FACADES {
-            let r = kind.pairs(4, threads, if smoke { 1_000 } else { 10_000 });
-            println!(
-                "{:<20} {:>9} {:>12.3} {:>12.1}",
-                kind.name(),
-                threads,
-                r.mops(),
-                1e3 / r.mops()
-            );
+        let t = measure(
+            || timed_pairs(4, threads, facade_ops, TimeLimit::Never).mops(),
+            || async_pairs_throughput(4, threads, facade_ops).mops(),
+        );
+        let ratio = t.per_pair(|blocking, async_| async_ / blocking);
+        let (blocking, async_) = (Spread::of(&t.a), Spread::of(&t.b));
+        println!(
+            "{threads:>7} {:>20} {:>20} {:>20}",
+            format!("{blocking:.2}"),
+            format!("{async_:.2}"),
+            format!("{ratio:.2}")
+        );
+        for (queue, side) in [("blocking-optimal", blocking), ("async-optimal", async_)] {
+            bench_rows.push(BenchRow {
+                experiment: "E12-facade-pairs",
+                queue: queue.to_string(),
+                workers: threads,
+                mops: side.median,
+                ops: 2 * threads as u64 * facade_ops,
+            });
         }
     }
     println!(
@@ -296,25 +294,25 @@ fn main() {
         "each worker is a separate PROCESS sharing one mmap segment; the\n\
          protocol is the crash-consistent publication scheme of DESIGN.md\n\
          §10. {} host cores: rows with more processes than cores measure\n\
-         the protocol under context switching (plus amortized fork cost)\n",
+         the protocol under context switching (plus amortized fork cost).\n\
+         each row: {TRIALS} runs, each on a fresh segment; median (q1–q3)\n",
         meta.host_cores
     );
-    println!("{:<14} {:>12} {:>12}", "procs (P+C)", "Mops", "ns/op");
+    println!("{:<14} {:>20}", "procs (P+C)", "Mops");
     let shm_per = if smoke { 2_000u64 } else { 20_000u64 };
     for (p, cons) in [(1u64, 1u64), (2, 2)] {
-        let r = shm_fork_pairs_throughput(c, p, cons, shm_per);
+        let mops = repeat(|| shm_fork_pairs_throughput(c, p, cons, shm_per).mops());
         println!(
-            "{:<14} {:>12.3} {:>12.1}",
+            "{:<14} {:>20}",
             format!("{p}P + {cons}C"),
-            r.mops(),
-            1e3 / r.mops()
+            format!("{mops:.2}")
         );
         bench_rows.push(BenchRow {
             experiment: "E13-shm-fork-pairs",
             queue: "shm-mpmc".to_string(),
             workers: (p + cons) as usize,
-            mops: r.mops(),
-            ops: r.ops,
+            mops: mops.median,
+            ops: 2 * p * shm_per,
         });
     }
     println!(

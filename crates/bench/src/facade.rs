@@ -1,11 +1,13 @@
-//! The waiting-façade registry and workloads (experiment **E12**): the
-//! blocking and async façades over the *same* lock-free queue and the
-//! same [`bq_core::EventCount`] pair, driven through the pairs workload
-//! so their wake paths can be compared head-to-head.
+//! The waiting-façade workloads (experiment **E12**): the blocking and
+//! async façades over the *same* lock-free queue and the same
+//! [`bq_core::EventCount`] pair, driven through the pairs workload so
+//! their wake paths can be compared head-to-head: [`timed_pairs`] under
+//! `TimeLimit::Never` on one side, [`async_pairs_throughput`] on the
+//! other.
 //!
 //! The registry's [`QueueKind`](crate::registry::QueueKind) rows cover
 //! the non-blocking implementations; the façades add a *waiting* layer
-//! on top, so they get their own small kind enum here instead of fake
+//! on top, so they are driven directly instead of through fake
 //! `DynQueue` rows (a blocking `send` has no "full" outcome to report).
 //!
 //! Hardware note (same as E11): with more workers than host cores the
@@ -19,44 +21,6 @@ use bq_core::{AsyncQueue, BlockingQueue, OptimalQueue, RecvTimeoutError, TimeLim
 
 use crate::workload::WorkloadResult;
 
-/// Which waiting façade to drive (both wrap `OptimalQueue`, both park on
-/// the shared eventcount pair — the only difference is *what* parks:
-/// OS threads or async tasks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FacadeKind {
-    /// `BlockingQueue<u64, OptimalQueue>`: threads park on the eventcount.
-    Blocking,
-    /// `AsyncQueue<u64, OptimalQueue>`: tasks park; each worker thread
-    /// drives its task with the dependency-free `pollster::block_on`.
-    Async,
-}
-
-/// Both façades, blocking first.
-pub const ALL_FACADES: &[FacadeKind] = &[FacadeKind::Blocking, FacadeKind::Async];
-
-impl FacadeKind {
-    /// Stable name used in tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            FacadeKind::Blocking => "blocking-optimal",
-            FacadeKind::Async => "async-optimal",
-        }
-    }
-
-    /// Mixed send/recv pairs through this façade: `threads` workers each
-    /// perform `ops_per_thread` send+recv pairs on a queue pre-filled to
-    /// half capacity (the waiting-layer mirror of
-    /// [`pairs_throughput`](crate::workload::pairs_throughput)). The
-    /// waits are real — capacity `c` should be small relative to
-    /// `threads` to exercise parking.
-    pub fn pairs(self, c: usize, threads: usize, ops_per_thread: u64) -> WorkloadResult {
-        match self {
-            FacadeKind::Blocking => timed_pairs(c, threads, ops_per_thread, TimeLimit::Never),
-            FacadeKind::Async => async_pairs_throughput(c, threads, ops_per_thread),
-        }
-    }
-}
-
 /// A patience far beyond any bench round's runtime: a limit that exists
 /// to be carried, not to fire.
 pub const PATIENCE: Duration = Duration::from_secs(600);
@@ -68,7 +32,9 @@ pub const PATIENCE: Duration = Duration::from_secs(600);
 /// A `Timeout` resolves to a deadline lazily at the *first park*, so on
 /// an uncontended run a timed pair never reads the clock at all — the
 /// ≤5%-overhead claim E16 measures. Under contention the timed path adds
-/// one clock read per park.
+/// one clock read per park. Under `Never` it is also E12's blocking side
+/// and E17's workload. `threads` workers each perform `ops_per_thread`
+/// send+recv pairs on a queue pre-filled to half capacity `c`.
 pub fn timed_pairs(
     c: usize,
     threads: usize,
@@ -166,18 +132,14 @@ mod tests {
 
     #[test]
     fn both_facades_run_the_pairs_workload() {
-        for kind in ALL_FACADES {
-            // C = 2 with 2 threads: parking definitely happens.
-            let r = kind.pairs(2, 2, 200);
-            assert_eq!(r.ops, 800, "{}", kind.name());
-            assert!(r.mops() > 0.0, "{}", kind.name());
+        // C = 2 with 2 threads: parking definitely happens.
+        for (name, r) in [
+            ("blocking", timed_pairs(2, 2, 200, TimeLimit::Never)),
+            ("async", async_pairs_throughput(2, 2, 200)),
+        ] {
+            assert_eq!(r.ops, 800, "{name}");
+            assert!(r.mops() > 0.0, "{name}");
         }
-    }
-
-    #[test]
-    fn names_are_stable_and_distinct() {
-        assert_eq!(FacadeKind::Blocking.name(), "blocking-optimal");
-        assert_eq!(FacadeKind::Async.name(), "async-optimal");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The one measurement protocol behind the bar-bound numbers (E15, E16,
-//! E17), E2's speed side and E10a–E10c: warm up, repeat, summarise by
-//! the median and quartiles.
+//! The one measurement protocol behind every timed number the bench
+//! binaries print (E2, E10a–E10c, E11–E13, E15–E17): warm up, repeat,
+//! summarise by the median and quartiles.
 //!
 //! A single run of a sub-second workload on a shared host lands anywhere
 //! in a ±20% band, so a percent-level bar judged on one run (or on the
@@ -17,8 +17,8 @@ use serde::Serialize;
 /// Timed runs per side of a comparison (odd, so the median is a sample).
 pub const TRIALS: usize = 15;
 
-/// Median and quartiles of a sample — the one summary every bar-bound
-/// number is reported and judged by.
+/// Median and quartiles of a sample — the one summary every timed
+/// number is reported, and every bar judged, by.
 #[derive(Serialize, Debug, Clone, Copy, PartialEq)]
 pub struct Spread {
     /// First quartile.
@@ -99,8 +99,9 @@ pub fn measure(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> Trials
     t
 }
 
-/// One side alone (a lane whose other side is a different build, as in
-/// E17): one warm-up run, then [`TRIALS`] timed runs.
+/// One side alone (a table cell with nothing to pair with, or a lane
+/// whose other side is a different build, as in E17): one warm-up run,
+/// then [`TRIALS`] timed runs.
 pub fn repeat(mut f: impl FnMut() -> f64) -> Spread {
     f();
     let s: Vec<f64> = (0..TRIALS).map(|_| f()).collect();

@@ -43,11 +43,6 @@ pub struct PayloadResult {
 }
 
 impl PayloadResult {
-    /// Throughput in MiB/s of payload actually delivered.
-    pub fn mibps(&self) -> f64 {
-        self.msgs as f64 * PAYLOAD_BYTES as f64 / self.secs / (1024.0 * 1024.0)
-    }
-
     /// Messages per second, in thousands.
     pub fn kmsgs(&self) -> f64 {
         self.msgs as f64 / self.secs / 1e3
@@ -242,7 +237,7 @@ mod tests {
     fn move_path_conserves_payload() {
         let r = payload_pairs_move(8, 300);
         assert_eq!(r.msgs, 300);
-        assert!(r.mibps() > 0.0);
+        assert!(r.kmsgs() > 0.0);
     }
 
     #[test]

@@ -417,23 +417,14 @@ pub fn sharded_optimal(c: usize, s: usize, t: usize) -> Box<dyn DynQueue> {
     )
 }
 
-/// Build every implementation at `(c, t)`.
-pub fn all_queues(c: usize, t: usize) -> Vec<Box<dyn DynQueue>> {
-    ALL_KINDS.iter().map(|k| k.build(c, t)).collect()
-}
-
-/// Look a kind up by its table name.
-pub fn queue_by_name(name: &str) -> Option<QueueKind> {
-    ALL_KINDS.iter().copied().find(|k| k.name() == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn every_kind_builds_and_round_trips() {
-        for q in all_queues(16, 2) {
+        for k in ALL_KINDS {
+            let q = k.build(16, 2);
             let (mut a, mut b) = (q.register(), q.register());
             assert!(a.enqueue(1), "{} rejects a first enqueue", q.name());
             assert_eq!(b.dequeue(), Some(1), "{} loses the element", q.name());
@@ -444,28 +435,27 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_resolvable() {
+        // A unique table name resolves to exactly one kind.
         let mut seen = std::collections::HashSet::new();
         for k in ALL_KINDS {
             assert!(seen.insert(k.name()), "duplicate name {}", k.name());
-            assert_eq!(queue_by_name(k.name()), Some(*k));
+            assert_eq!(k.build(4, 1).name(), k.name());
         }
-        assert_eq!(queue_by_name("nope"), None);
     }
 
     #[test]
     fn soundness_flags() {
-        for q in all_queues(4, 1) {
-            let expected = !matches!(
-                queue_by_name(q.name()).unwrap(),
-                QueueKind::Naive | QueueKind::TwoNull
-            );
+        for k in ALL_KINDS {
+            let q = k.build(4, 1);
+            let expected = !matches!(k, QueueKind::Naive | QueueKind::TwoNull);
             assert_eq!(q.sound(), expected, "{}", q.name());
         }
     }
 
     #[test]
     fn every_kind_batch_round_trips() {
-        for q in all_queues(16, 2) {
+        for k in ALL_KINDS {
+            let q = k.build(16, 2);
             let (mut a, mut b) = (q.register(), q.register());
             let vs: Vec<u64> = (1..=10).collect();
             assert_eq!(a.enqueue_many(&vs), 10, "{}", q.name());
@@ -479,11 +469,9 @@ mod tests {
 
     #[test]
     fn fifo_flags_mark_only_sharded_kinds_relaxed() {
-        for q in all_queues(8, 1) {
-            let expected = !matches!(
-                queue_by_name(q.name()).unwrap(),
-                QueueKind::ShardedOptimal | QueueKind::ShardedSegment
-            );
+        for k in ALL_KINDS {
+            let q = k.build(8, 1);
+            let expected = !matches!(k, QueueKind::ShardedOptimal | QueueKind::ShardedSegment);
             assert_eq!(q.fifo(), expected, "{}", q.name());
         }
     }
@@ -525,7 +513,8 @@ mod tests {
 
     #[test]
     fn footprints_are_positive() {
-        for q in all_queues(64, 2) {
+        for k in ALL_KINDS {
+            let q = k.build(64, 2);
             // MS stores per-element, so occupy one slot before measuring.
             q.register().enqueue(1);
             let f = q.footprint();

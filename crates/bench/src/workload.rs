@@ -149,42 +149,6 @@ pub fn batched_pairs_throughput(
     }
 }
 
-/// Print the batched-vs-single comparison table shared by
-/// `throughput_table` (E10d) and `shard_sweep` (E11b): for each kind,
-/// move `elems_per_thread` elements per thread through the pairs
-/// workload once with `B = 1` and once with `B = batch`, and report the
-/// speedup. One implementation so the two published tables cannot drift
-/// methodologically.
-pub fn print_batch_win_table(
-    kinds: &[crate::registry::QueueKind],
-    c: usize,
-    threads: usize,
-    elems_per_thread: u64,
-    batch: usize,
-) {
-    println!(
-        "{:<24} {:>12} {:>12} {:>9}",
-        "queue",
-        "single Mops",
-        format!("B={batch} Mops"),
-        "speedup"
-    );
-    for kind in kinds {
-        let q1 = kind.build(c, threads);
-        let single = batched_pairs_throughput(&*q1, &mut q1.handles(threads), elems_per_thread, 1);
-        let qb = kind.build(c, threads);
-        let rounds = elems_per_thread / batch as u64;
-        let batched = batched_pairs_throughput(&*qb, &mut qb.handles(threads), rounds, batch);
-        println!(
-            "{:<24} {:>12.3} {:>12.3} {:>8.2}x",
-            kind.name(),
-            single.mops(),
-            batched.mops(),
-            batched.mops() / single.mops()
-        );
-    }
-}
-
 /// One thread, one handle: `rounds` rounds of `burst` enqueues followed
 /// by `burst` dequeues on `q`, which starts and ends empty. `burst = 1`
 /// is the solo enqueue+dequeue pair (E10b, E10c); `burst = C` fills the

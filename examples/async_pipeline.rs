@@ -33,15 +33,8 @@ const BATCH: usize = 16;
 const PRODUCER_TASKS: usize = 8;
 const TRANSFORM_TASKS: usize = 8;
 
-/// Tiny-workload mode for the example smoke test (`MEMBQ_SMOKE=1`);
-/// unset, empty, or `"0"` means full size. Same convention in every
-/// heavy example.
-fn smoke_mode() -> bool {
-    std::env::var("MEMBQ_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 fn packet_count() -> u64 {
-    if smoke_mode() {
+    if bq_bench::smoke_mode() {
         4_000
     } else {
         120_000

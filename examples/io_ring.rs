@@ -69,17 +69,14 @@ fn payload_byte(id: u64, j: usize) -> u8 {
     (id as u8).wrapping_mul(17).wrapping_add(j as u8)
 }
 
-/// Tiny-workload mode for the example smoke test (`MEMBQ_SMOKE=1`);
-/// unset, empty, or `"0"` means full size. Same convention in every
-/// heavy example.
-fn smoke_mode() -> bool {
-    std::env::var("MEMBQ_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 fn main() {
     const RING_DEPTH: usize = 64;
     const DATA_BYTES: usize = 16 * 1024;
-    let requests: u64 = if smoke_mode() { 1_000 } else { 10_000 };
+    let requests: u64 = if bq_bench::smoke_mode() {
+        1_000
+    } else {
+        10_000
+    };
 
     let sq = Arc::new(DistinctQueue::with_capacity(RING_DEPTH));
     let cq = Arc::new(DistinctQueue::with_capacity(RING_DEPTH));

@@ -29,8 +29,7 @@ fn yield_now() {
 }
 
 fn main() {
-    let smoke = std::env::var("MEMBQ_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    let per: u64 = if smoke { 500 } else { 20_000 };
+    let per: u64 = if bq_bench::smoke_mode() { 500 } else { 20_000 };
 
     // ── 1. Producer/consumer across fork ────────────────────────────────
     let q = ShmQueue::<u64>::create_anon(64).expect("anonymous shared segment");

@@ -21,10 +21,6 @@ use std::sync::Arc;
 use membq::core::obs::MetricsSnapshot;
 use membq::prelude::*;
 
-fn smoke() -> bool {
-    std::env::var("MEMBQ_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Print a snapshot as an indented table, or the obs-off explanation.
 fn show(title: &str, m: &MetricsSnapshot) {
     println!("--- {title} ---");
@@ -111,7 +107,7 @@ fn blocking_phase(per: u64) {
 }
 
 fn main() {
-    let per: u64 = if smoke() { 500 } else { 50_000 };
+    let per: u64 = if bq_bench::smoke_mode() { 500 } else { 50_000 };
     println!(
         "observatory: obs feature {} — workload {per} values/producer\n",
         if cfg!(feature = "obs") { "ON" } else { "OFF" }

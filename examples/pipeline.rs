@@ -26,17 +26,10 @@ const RING: usize = 256;
 const SHARDS: usize = 4;
 const BATCH: usize = 32;
 
-/// Tiny-workload mode for the example smoke test (`MEMBQ_SMOKE=1`);
-/// unset, empty, or `"0"` means full size. Same convention in every
-/// heavy example.
-fn smoke_mode() -> bool {
-    std::env::var("MEMBQ_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// Packet count: full-size by default, tiny under smoke mode (the CI
 /// run that keeps examples from rotting). Only the parse stage knows it.
 fn packet_count() -> u64 {
-    if smoke_mode() {
+    if bq_bench::smoke_mode() {
         5_000
     } else {
         200_000

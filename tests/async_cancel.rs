@@ -479,11 +479,7 @@ impl SeedMix {
 /// * no leaked waiters on either eventcount at quiescence.
 #[test]
 fn cancellation_stress_pool_spec_and_conservation() {
-    let rounds = if std::env::var("MEMBQ_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0") {
-        5
-    } else {
-        25
-    };
+    let rounds = if bq_bench::smoke_mode() { 5 } else { 25 };
     for seed in [1u64, 2, 3] {
         for round in 0..rounds {
             // Thread bound 4: the three stress threads plus the final

@@ -19,8 +19,7 @@ use proptest::prelude::*;
 
 /// Smoke-sized case counts under `MEMBQ_SMOKE=1` (CI short path).
 fn cases(full: u32) -> u32 {
-    let smoke = std::env::var("MEMBQ_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    if smoke {
+    if bq_bench::smoke_mode() {
         (full / 4).max(4)
     } else {
         full
